@@ -3,7 +3,9 @@
 #  1. markdown lint basics over docs/ and README.md: no trailing
 #     whitespace, no hard tabs, every file ends with a newline;
 #  2. every src/<module>/ directory is mentioned in docs/ARCHITECTURE.md;
-#  3. every bench binary is mentioned in docs/EXPERIMENTS.md.
+#  3. every bench binary is mentioned in docs/EXPERIMENTS.md;
+#  4. the `--flag`s src/engine/cli.cpp parses and the rows of
+#     docs/EXPERIMENTS.md's "Shared CLI flags" table name the same set.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -39,6 +41,27 @@ for b in bench/*.cpp; do
     if ! grep -q "$name" docs/EXPERIMENTS.md; then
         err "$name is not mentioned in docs/EXPERIMENTS.md"
     fi
+done
+
+# Flags the shared parser accepts: its `a == "--flag"` comparisons.
+cli_flags=$(grep -oE 'a == "--[a-z0-9-]+"' src/engine/cli.cpp |
+            grep -oE -- '--[a-z0-9-]+' | sort -u)
+# Flags the table documents: the first cell of each row of the
+# "## Shared CLI flags" section (up to the next heading).
+doc_flags=$(awk '/^## Shared CLI flags/ {on = 1; next}
+                 /^#/ {on = 0}
+                 on && /^\| `--/ {split($0, c, "|"); print c[2]}' \
+                docs/EXPERIMENTS.md |
+            grep -oE -- '--[a-z0-9-]+' | sort -u)
+[ -n "$cli_flags" ] || err "no flags found in src/engine/cli.cpp"
+[ -n "$doc_flags" ] || err "no Shared CLI flags table in docs/EXPERIMENTS.md"
+for f in $(comm -23 <(echo "$cli_flags") <(echo "$doc_flags")); do
+    err "$f is parsed in src/engine/cli.cpp but missing from the" \
+        "Shared CLI flags table in docs/EXPERIMENTS.md"
+done
+for f in $(comm -13 <(echo "$cli_flags") <(echo "$doc_flags")); do
+    err "$f is in the Shared CLI flags table of docs/EXPERIMENTS.md" \
+        "but src/engine/cli.cpp does not parse it"
 done
 
 if [ "$fail" -eq 0 ]; then

@@ -71,7 +71,7 @@ class CheckpointStore
   public:
     /** Bumped whenever any serialized layout changes: a version
      *  mismatch reads as corruption (reject, recompute, overwrite). */
-    static constexpr std::uint32_t formatVersion = 1;
+    static constexpr std::uint32_t formatVersion = 2;
 
     /** Opens (creating if needed) the cache directory; on failure the
      *  store warns once and every operation becomes a no-op. */

@@ -80,10 +80,6 @@ parseCli(int argc, char **argv)
             opt.sampleWarmup = parseCount("--warmup", next(a, i));
         } else if (a == "--no-ss-shadow") {
             opt.ssShadow = false;
-        } else if (a == "--warm-through") {
-            opt.warmThrough = true;
-        } else if (a == "--no-warm-through") {
-            opt.warmThrough = false;
         } else if (a == "--full") {
             opt.full = true;
         } else if (a == "--no-throughput") {
@@ -148,7 +144,6 @@ CliOptions::samplingParams() const
                                       : 2 * sampleInterval;
     sp.ffWarm = 2 * sampleInterval;
     sp.ssShadow = ssShadow;
-    sp.warmThrough = warmThrough;
     return sp;
 }
 
@@ -156,7 +151,7 @@ void
 CliOptions::configureStore(ExperimentEngine &engine) const
 {
     SamplingParams sp = samplingParams();
-    if (!checkpointStore || !sp.enabled || !sp.warmThrough)
+    if (!checkpointStore || !sp.enabled)
         return;
     CheckpointStoreConfig cfg;
     cfg.dir = checkpointDir;

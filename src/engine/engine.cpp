@@ -184,12 +184,9 @@ ExperimentEngine::cellTimed(const EngineWorkload &w, const SimConfig &cfg,
 CheckpointStore *
 ExperimentEngine::storeFor(const SamplingParams &sp) const
 {
-    // The store serves warm-through sampled runs only: jump-mode
-    // summaries need their in-memory checkpoints (elided from the
-    // persisted form), degenerate parameters run exactly, and full
-    // simulation has nothing to warm.
-    if (store_ && store_->enabled() && sp.enabled && sp.warmThrough &&
-        !sp.degenerate())
+    // The store serves sampled runs only: degenerate parameters run
+    // exactly, and full simulation has nothing to warm.
+    if (store_ && store_->enabled() && sp.enabled && !sp.degenerate())
         return store_.get();
     return nullptr;
 }
@@ -211,9 +208,8 @@ ExperimentEngine::summary(const EngineWorkload &w, const SimConfig &cfg,
     std::string key = summaryFingerprint(variant, cfg.sampling,
                                          cfg.runBudget);
     return summaries.get(key, [&]() -> SampleSummary {
-        // Warm-through summaries carry no checkpoints, so they
-        // round-trip through the checkpoint store: a warm session
-        // skips the functional pre-pass entirely.
+        // Summaries round-trip through the checkpoint store: a warm
+        // session skips the functional pre-pass entirely.
         CheckpointStore *cs = storeFor(cfg.sampling);
         std::string storeKey = "summ|" + key;
         if (cs) {

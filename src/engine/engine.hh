@@ -149,8 +149,7 @@ class ExperimentEngine
     /**
      * Functional sample summary for the binary @p cfg executes on
      * @p w (cached). Keyed by binary + sampling grid only, so every
-     * column sharing that binary reuses one summary — and with it the
-     * fast-forward checkpoints.
+     * column sharing that binary reuses one summary.
      */
     std::shared_ptr<const SampleSummary>
     summary(const EngineWorkload &w, const SimConfig &cfg,
@@ -202,14 +201,14 @@ class ExperimentEngine
     bool dryRun() const { return dryRun_; }
 
     /**
-     * Attach an on-disk warm-checkpoint store. Sampled warm-through
-     * cells then persist (and restore) their sample summaries,
-     * per-chunk warm state, and discovered violation-pair seeds across
-     * processes, and run the two-pass violation-seeded scheme (see
-     * runCellSampled's store overload). Full-simulation cells,
-     * jump-mode cells, and engines without a store are unaffected —
-     * their results stay bit-identical to a store-less engine. Null
-     * (the default) detaches.
+     * Attach an on-disk warm-checkpoint store. Sampled cells then
+     * persist (and restore) their sample summaries, per-chunk warm
+     * state, and discovered violation-pair seeds across processes,
+     * and run the two-pass violation-seeded scheme (see
+     * runCellSampled's store overload). Full-simulation cells and
+     * engines without a store are unaffected — their results stay
+     * bit-identical to a store-less engine. Null (the default)
+     * detaches.
      */
     void
     setCheckpointStore(std::shared_ptr<CheckpointStore> s)

@@ -122,7 +122,9 @@ addSampling(Fingerprint &fp, const SamplingParams &s)
         .add("sCi", static_cast<std::uint64_t>(s.targetCi * 1e6))
         .add("sDuty", static_cast<std::uint64_t>(s.maxDuty * 1e6))
         .add("sShad", s.ssShadow)
-        .add("sWt", s.warmThrough);
+        // Warm-through is the only fast-forward; the field stays so
+        // every cell key (and the phase salt hashed from it) is stable.
+        .add("sWt", true);
 }
 
 } // namespace

@@ -2,9 +2,7 @@
 
 #include <array>
 #include <cmath>
-#include <map>
 #include <memory>
-#include <unordered_set>
 
 #include "cfg/liveness.hh"
 #include "common/failsoft.hh"
@@ -150,21 +148,11 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
             sampleSigDims);
 
     const std::uint64_t period = sp.period;
-    const std::uint64_t prefixChunks = sp.prefixChunks();
     std::vector<std::array<double, sampleSigDims>> leaders;
-    std::vector<std::uint32_t> postCount;   ///< post-prefix chunks seen
     std::array<std::uint64_t, sampleSigDims> sig{};
     std::uint64_t sigSlots = 0;
     std::uint64_t chunkIdx = 0;
     std::uint64_t chunkStart = 0;
-    // Checkpoints are captured tentatively at every chunk's jump
-    // target and kept only if the finished chunk turns out to be one
-    // of its cluster's first two post-prefix members.
-    std::map<std::uint64_t, EmuCheckpoint> pending;
-    std::uint64_t nextCkptChunk = 1;
-    // First-touch data-footprint curve (64-byte proxy lines): how many
-    // unique lines the run has touched by each chunk boundary.
-    std::unordered_set<Addr> footSeen;
 
     auto finishChunk = [&](std::uint64_t endWork) {
         std::array<double, sampleSigDims> norm{};
@@ -185,22 +173,8 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
         if (!found) {
             cid = static_cast<std::uint32_t>(leaders.size());
             leaders.push_back(norm);
-            postCount.push_back(0);
         }
         sum.chunks.push_back({chunkStart, endWork - chunkStart, cid});
-        sum.footLines.push_back(footSeen.size());
-        bool post = chunkIdx >= prefixChunks;
-        auto it = pending.find(chunkIdx);
-        // Keep the checkpoint for every chunk the sampled run might
-        // measure: the first two of each cluster always, later
-        // occurrences (adaptive refinement) while the budget lasts.
-        if (post && it != pending.end() &&
-            (postCount[cid] < 2 || sum.ckpts.size() < 48))
-            sum.ckpts.push_back(std::move(it->second));
-        if (it != pending.end())
-            pending.erase(it);
-        if (post)
-            ++postCount[cid];
         sig.fill(0);
         sigSlots = 0;
         ++chunkIdx;
@@ -213,24 +187,8 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
         std::uint64_t w = emu.dynWork();
         while (w >= (chunkIdx + 1) * period)
             finishChunk((chunkIdx + 1) * period);
-        // Once the retention budget is full, only a brand-new cluster
-        // could still keep a checkpoint; stop paying for the deep
-        // copies and let such rare chunks fast-forward functionally.
-        // Warm-through runs never jump, so their summaries skip the
-        // captures (and their deep memory copies) entirely.
-        if (!sp.warmThrough &&
-            nextCkptChunk >= prefixChunks && sum.ckpts.size() < 48 &&
-            w >= sp.jumpTarget(nextCkptChunk) &&
-            sp.jumpTarget(nextCkptChunk) > 0)
-            pending.emplace(nextCkptChunk, emu.checkpoint());
-        while (w >= sp.jumpTarget(nextCkptChunk) ||
-               sp.jumpTarget(nextCkptChunk) == 0)
-            ++nextCkptChunk;
         if (!emu.step(&rec))
             break;
-        if (rec.isMem)
-            footSeen.insert(rec.memAddr /
-                            static_cast<Addr>(sampleFootLineBytes));
         if (rec.insn && prog.validPc(rec.pc)) {
             sig[bucket[prog.indexOf(rec.pc)]] +=
                 emu.dynWork() - w;
@@ -273,9 +231,9 @@ runCellSampled(const Program &prog, const PreparedMg *prep,
         return core;
     };
 
-    // The store only composes with warm-through sampling; degenerate
-    // parameters run exactly and have no fast-forward gaps to serve.
-    if (!store || !sp.warmThrough || sp.degenerate())
+    // Degenerate parameters run exactly and have no fast-forward gaps
+    // for the store to serve.
+    if (!store || sp.degenerate())
         return freshCore()->runSampled(sp, sum, cfg.runBudget);
 
     // Violation-pair seed: stored once per cell by the first session's
@@ -323,10 +281,6 @@ serializeSampleSummary(const SampleSummary &sum, SerialWriter &w)
         w.u64(c.work);
         w.u32(c.cluster);
     }
-    w.vec(sum.footLines);
-    // Checkpoints deliberately elided: a persisted summary only ever
-    // serves warm-through runs (enforced by the engine's key), and
-    // those never jump.
 }
 
 bool
@@ -349,7 +303,6 @@ deserializeSampleSummary(SerialReader &r, SampleSummary &sum)
         c.cluster = r.u32();
         sum.chunks.push_back(c);
     }
-    sum.footLines = r.vec<std::uint64_t>();
     return r.ok();
 }
 

@@ -79,11 +79,11 @@ CritPathSummary runCellTraced(const Program &prog, const PreparedMg *prep,
 /**
  * Functional pre-pass for sampled cells: run the executed binary (the
  * rewritten program for a mini-graph config) to completion once,
- * recording total work/slots and capturing an EmuCheckpoint at every
- * fast-forward grid position of @p sp. The result depends only on the
- * binary, the inputs, and the sampling grid — never on the machine
- * configuration — so the engine shares it across all sweep columns
- * that execute the same binary.
+ * recording total work/slots and the phase clustering of the @p sp
+ * chunk grid. The result depends only on the binary, the inputs, and
+ * the sampling grid — never on the machine configuration — so the
+ * engine shares it across all sweep columns that execute the same
+ * binary.
  */
 SampleSummary collectSampleSummary(const Program &prog, const MgTable *mgt,
                                    const SetupFn &setup,
@@ -93,11 +93,11 @@ SampleSummary collectSampleSummary(const Program &prog, const MgTable *mgt,
                                        nullptr);
 
 /**
- * Sampled counterpart of runCell: alternate checkpoint-jump /
- * functionally-warmed fast-forward with cycle-accurate measurement
- * intervals and extrapolate whole-run statistics (see
- * Core::runSampled). @p sum must come from collectSampleSummary for
- * the same binary, inputs, and sampling grid.
+ * Sampled counterpart of runCell: alternate functionally-warmed
+ * fast-forward with cycle-accurate measurement intervals and
+ * extrapolate whole-run statistics (see Core::runSampled). @p sum
+ * must come from collectSampleSummary for the same binary, inputs,
+ * and sampling grid.
  */
 SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
                             const SimConfig &cfg, const SetupFn &setup,
@@ -147,8 +147,8 @@ class CellCheckpointClient : public WarmStoreIf
  * bit-identical stats (the warm pass replays the exact states the
  * cold pass wrote).
  *
- * A null @p store (or jump-mode / degenerate / shadowless sampling
- * parameters) reproduces the storeless overload bit-exactly.
+ * A null @p store (or degenerate / shadowless sampling parameters)
+ * reproduces the storeless overload bit-exactly.
  */
 SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
                             const SimConfig &cfg, const SetupFn &setup,
@@ -156,10 +156,7 @@ SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
                             CellCheckpointClient *store,
                             const std::atomic<bool> *cancel = nullptr);
 
-/** Append @p sum — checkpoints elided — to @p w. Persisted summaries
- *  serve warm-through runs only, which never consult the checkpoint
- *  list; the engine keys them by a fingerprint that includes the
- *  fast-forward mode, so a jump-mode run can never load one. */
+/** Append @p sum to @p w (the checkpoint store's summary record). */
 void serializeSampleSummary(const SampleSummary &sum, SerialWriter &w);
 
 /** Parse a serializeSampleSummary record. @return false (leaving

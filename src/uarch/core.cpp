@@ -1269,7 +1269,7 @@ Core::fastForward(std::uint64_t workTarget, bool warm, double ipcEst)
                 // (idempotent once the full component is in one
                 // set). All of the load's active partners merge
                 // together so the component — not just one edge of
-                // it — survives jumps and table clears.
+                // it — survives fast-forward gaps and table clears.
                 if (!rec.memIsStore) {
                     auto it = ffViolPairs.find(rec.pc);
                     if (it != ffViolPairs.end()) {
@@ -1287,15 +1287,6 @@ Core::fastForward(std::uint64_t workTarget, bool warm, double ipcEst)
     }
     stats_.cycles = now;        // keep interval deltas pure-detailed
     lastFetchLine = ~Addr(0);   // fetch restarts on a cold line tracker
-}
-
-void
-Core::restoreOracle(const EmuCheckpoint &c)
-{
-    if (!pipelineEmpty())
-        panic("restoreOracle with a non-empty pipeline");
-    emu.restore(c);
-    lastFetchLine = ~Addr(0);
 }
 
 namespace {
@@ -1536,11 +1527,6 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             ++ffDormantEdges;
         }
     }
-    // Restore-warm only composes with warm-through: a restored record
-    // is the state of a run that warmed every skipped instruction, so
-    // mixing it with checkpoint jumps would interleave two different
-    // state trajectories. Jump mode ignores the store.
-    WarmStoreIf *ws = sp.warmThrough ? warmStore : nullptr;
     const std::uint64_t seedHash = violSeedHash(seedViol);
     std::vector<std::uint8_t> wsBytes;
     SampledStats out;
@@ -1573,15 +1559,6 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
         out.ipcHat = stats_.ipc();
         return out;
     }
-
-    // Checkpoint jumps skip functional execution entirely, so the
-    // hierarchy tracks which data lines it has actually seen; any
-    // measurement-interval first-touches beyond the functional
-    // pre-pass's expectation are working-set state the jumps lost
-    // (warm-through skips nothing and needs no tracking, and
-    // degraded-to-exact runs above never jump — enable only now).
-    if (!sp.warmThrough)
-        mem.trackFootprint(true);
 
     // Exactly-measured cold prefix: the startup transient (cold
     // caches, bus backlog, queue fill) is a large, unrepresentative
@@ -1768,8 +1745,6 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             3, (minMeasuredSpan + sp.interval - 1) / sp.interval));
 
     double lastIpc = cold.ipc();   // virtual-clock fast-forward rate
-    std::uint32_t footIvals = 0;           ///< measurements accounted
-    std::uint32_t footSurprisedIvals = 0;  ///< with excess first-touches
     for (const SampleChunk &chunk : sum.chunks) {
         const SampleChunk *ch = &chunk;
         if (ch->start < cold.committedWork ||
@@ -1828,13 +1803,13 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             }
         }
         const std::uint64_t mstart = ch->start + off;
-        // Fast-forward to the measurement: jump through the checkpoint
-        // the summary captured for the chunk, then functionally warm
-        // the tail. Warmup is anchored at the chunk start, not the
-        // salted measurement start: the offset gap is covered by
-        // detailed execution (see above), and warm-store records —
-        // keyed and serialized at ch->start − warmup — stay valid for
-        // every salt.
+        // Fast-forward to the measurement: functionally warm through
+        // every skipped instruction, so cumulative cache/predictor
+        // state survives (footprint-bound kernels). Warmup is
+        // anchored at the chunk start, not the salted measurement
+        // start: the offset gap is covered by detailed execution (see
+        // above), and warm-store records — keyed and serialized at
+        // ch->start − warmup — stay valid for every salt.
         std::uint64_t warmStart = ch->start > sp.warmup
             ? ch->start - sp.warmup : 0;
         if (warmStart > p) {
@@ -1845,42 +1820,16 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             // functional re-execution entirely. Misses (and corrupt
             // or incompatible records, rejected by tryRestoreWarm)
             // fall through to warming and write back the result.
-            bool restored = false;
-            if (ws && ws->loadWarm(ch->start, seedHash, wsBytes) &&
+            if (warmStore &&
+                warmStore->loadWarm(ch->start, seedHash, wsBytes) &&
                 tryRestoreWarm(wsBytes)) {
-                restored = true;
                 ++out.ckptRestores;
-            }
-            if (!restored) {
-                // Warm-through mode skips the jump: the whole gap is
-                // emulated with warming so cumulative cache/predictor
-                // state survives (footprint-bound kernels).
-                const EmuCheckpoint *jump = nullptr;
-                if (!sp.warmThrough) {
-                    for (const EmuCheckpoint &c : sum.ckpts) {
-                        if (c.work > warmStart)
-                            break;
-                        if (c.work > p)
-                            jump = &c;  // ascending: keep latest
-                                        // eligible
-                    }
-                }
-                if (jump) {
-                    // The skipped region's time passes on the virtual
-                    // clock too, so time-keyed state (bus occupancy,
-                    // bypass windows) ages as it would have.
-                    if (lastIpc > 0)
-                        now += static_cast<Cycle>(
-                            static_cast<double>(jump->work - p) /
-                            lastIpc);
-                    restoreOracle(*jump);
-                }
-                if (warmStart > emu.dynWork())
-                    fastForward(warmStart, sp.ffWarm > 0, lastIpc);
-                if (ws && !emu.halted()) {
+            } else {
+                fastForward(warmStart, sp.ffWarm > 0, lastIpc);
+                if (warmStore && !emu.halted()) {
                     SerialWriter w;
                     serializeWarm(w);
-                    ws->storeWarm(ch->start, seedHash, w.data());
+                    warmStore->storeWarm(ch->start, seedHash, w.data());
                     ++out.ckptWritebacks;
                 }
             }
@@ -1912,8 +1861,6 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             std::uint64_t cap = out.totalWork - out.ffWork;
             return std::min(stats_.committedWork + sp.interval, cap);
         };
-        std::uint64_t surpriseBase = mem.footSurprises();
-        std::uint64_t surpriseWorkBase = stats_.committedWork;
         runDetailedUntil(boundedTarget());
         CoreStats delta;
         for (int s = 0; s < subs && !oracleDone; ++s) {
@@ -1923,70 +1870,15 @@ Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
             runDetailedUntil(boundedTarget());
             delta += stats_ - b;
         }
-        if (!sp.warmThrough && !sum.footLines.empty()) {
-            // Footprint-blindness accounting: first touches inside
-            // the measurement span, minus the span's share of the
-            // chunk's genuinely new lines (which a full run would
-            // first-touch here too). The excess is working-set state
-            // the jumps skipped and the warm budget failed to
-            // restore. One cold measurement is a startup transient
-            // (mcf's node array is covered within a few measurements
-            // and the excess vanishes); what marks an estimate as
-            // structurally unrepresentative is excess that
-            // *persists* across the measurement sequence — the
-            // rtr signature, where the whole-run cache-residency
-            // ramp is stretched over every interval.
-            std::uint64_t span = stats_.committedWork - surpriseWorkBase;
-            std::uint64_t surprises =
-                mem.footSurprises() - surpriseBase;
-            std::uint64_t expect = sum.newLinesIn(chunkIdxOf(ch)) *
-                span / std::max<std::uint64_t>(ch->work, 1);
-            std::uint64_t slack =
-                std::max<std::uint64_t>(16, sp.interval / 32);
-            ++footIvals;
-            if (surprises > expect + slack) {
-                ++footSurprisedIvals;
-                out.footprintSkippedLines += surprises - expect;
-            }
-        }
         if (delta.committedWork && delta.cycles) {
             ClusterAgg &a = agg[ch->cluster];
             a.meas += delta;
             lastIpc = static_cast<double>(delta.committedWork) /
                 static_cast<double>(delta.cycles);
             a.ipcs.push_back(lastIpc);
-            if (getenv("MG_SAMPLE_DEBUG")) {
-                StoreSetsState sss_ = ss.exportState();
-                std::size_t trained = 0;
-                for (std::int32_t v : sss_.ssit)
-                    trained += v != -1;
-                fprintf(stderr, "iv pos=%llu emuPos=%llu cl=%u w=%llu c=%llu ipc=%.3f regFree=%d dram=%llu surp=%llu exp=%llu regStall=%llu ldRep=%llu viol=%llu ssit=%zu acc=%llu\n",
-                        (unsigned long long)ch->start,
-                        (unsigned long long)emu.dynWork(),
-                        ch->cluster,
-                        (unsigned long long)delta.committedWork,
-                        (unsigned long long)delta.cycles, lastIpc,
-                        regs.freeCount(),
-                        (unsigned long long)mem.dramAccesses(),
-                        (unsigned long long)(mem.footSurprises() -
-                                             surpriseBase),
-                        (unsigned long long)sum.newLinesIn(
-                            chunkIdxOf(ch)),
-                        (unsigned long long)delta.regFullStalls,
-                        (unsigned long long)delta.loadReplays,
-                        (unsigned long long)delta.ordViolations,
-                        trained,
-                        (unsigned long long)sss_.accesses);
-            }
         }
         drainPipeline();
     }
-    // More than a third of the measurements paying excess surprise
-    // first-touches means the cold-hierarchy transient never settled:
-    // the extrapolation is built on unrepresentative intervals.
-    out.footprintWarning = footIvals > 0 &&
-        3 * footSurprisedIvals > footIvals;
-
     // Exact prefix plus per-cluster ratio extrapolation. Clusters that
     // went unmeasured (halt mid-plan, work cap) fall back to the
     // pooled rates of everything that was measured.

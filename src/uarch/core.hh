@@ -210,16 +210,6 @@ struct SampledStats
                                         ///< per-interval IPC
     bool exact = false;                 ///< degenerated to a full run;
                                         ///< est is bit-exact
-    /** Checkpoint-jump footprint blindness: some jump skipped more
-     *  first-touch unique data lines than the post-jump warm budget
-     *  (ffWarm + warmup) could possibly restore, so measurements ran
-     *  against a hierarchy missing long-lived working-set state and
-     *  the estimate is structurally suspect (rtr-style 25%+ errors).
-     *  Never set in warm-through mode, which skips nothing. */
-    bool footprintWarning = false;
-    /** Total unique lines the flagged jumps skipped beyond the warm
-     *  budget (the magnitude behind footprintWarning). */
-    std::uint64_t footprintSkippedLines = 0;
     /** Warm-checkpoint store traffic of this run: fast-forward gaps
      *  served by restoring a stored record vs gaps warmed through
      *  functionally and written back. Zero without a store. */
@@ -246,12 +236,11 @@ class Core
 
     /**
      * Sampled run (see uarch/sampling.hh for the interval scheme).
-     * @p sum supplies the extrapolation denominator and the grid
-     * checkpoints fast-forwards jump through; an empty checkpoint list
-     * is legal (every fast-forward then steps functionally).
-     * Degenerate parameters reproduce run() bit-exactly.
+     * @p sum supplies the extrapolation denominator and the phase
+     * clustering that places measurements. Degenerate parameters
+     * reproduce run() bit-exactly.
      *
-     * @p warmStore (warm-through mode only) enables the restore-warm
+     * @p warmStore enables the restore-warm
      * fast-forward path: each gap first tries to restore the stored
      * warm state for the coming chunk, falling back to functional
      * warming — and writing the result back — on a miss. Because a
@@ -292,12 +281,6 @@ class Core
      */
     void fastForward(std::uint64_t workTarget, bool warm,
                      double ipcEst = 0);
-
-    /**
-     * Jump the oracle to @p c (forward, pipeline empty): the
-     * checkpoint-restore fast path of a sampled run.
-     */
-    void restoreOracle(const EmuCheckpoint &c);
 
     /** Access the oracle (for architectural state checks in tests). */
     Emulator &oracle() { return emu; }
@@ -425,7 +408,7 @@ class Core
     // detailed intervals have already seen violate: during warm
     // fast-forward, a load whose PC is a known violator re-merges its
     // recorded store partner, carrying the learned dependence across
-    // checkpoint jumps and the predictor's periodic table clears.
+    // fast-forward gaps and the predictor's periodic table clears.
     /** One edge of the violation graph: a store PC some load has
      *  violated against. Keeping the full partner set (not just the
      *  latest partner) matters: the predictor's trained behavior is

@@ -6,18 +6,17 @@
  * extrapolates whole-run statistics. Placement is phase-driven
  * (SimPoint-style): the functional pre-pass splits the run into
  * @c period -work chunks, fingerprints each with a PC-histogram
- * signature, clusters equal-phase chunks, and captures an
- * EmuCheckpoint ahead of the chunks a sampled run may measure.
- * The timing run then
+ * signature and clusters equal-phase chunks. The timing run then
  *
  *   1. measures the cold prefix exactly (cold caches, bus backlog,
  *      and queue fill-up are real but unrepresentative; extrapolating
  *      them is the dominant error source for short programs),
- *   2. fast-forwards chunk to chunk — checkpoint jump, then @c ffWarm
- *      work of functional warming (I-cache, D-cache/L2, branch
- *      predictor all trained; the clock advances virtually at the
- *      last measured IPC so bus queueing keeps evolving), then
- *      @c warmup work cycle-accurate to restore queue back-pressure,
+ *   2. fast-forwards chunk to chunk by warming through: every skipped
+ *      instruction is emulated with functional warming (I-cache,
+ *      D-cache/L2, branch predictor all trained; the clock advances
+ *      virtually at the last measured IPC so bus queueing keeps
+ *      evolving), then @c warmup work runs cycle-accurate to restore
+ *      queue back-pressure,
  *   3. measures quantile-spread occurrences of every cluster —
  *      settling for one @c interval, then averaging three — and keeps
  *      sampling clusters whose error bound has not converged, within
@@ -39,8 +38,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "emu/emulator.hh"
-
 namespace mg {
 
 /** Knobs of one sampled run (all lengths in constituent work units). */
@@ -50,8 +47,11 @@ struct SamplingParams
     std::uint64_t interval = 1000;  ///< detailed work measured per period
     std::uint64_t period = 12000;   ///< work between measurement starts
     std::uint64_t warmup = 2000;    ///< detailed pre-measurement work
-    std::uint64_t ffWarm = 2000;    ///< functionally-warmed fast-forward
-                                    ///< tail before each warmup
+    std::uint64_t ffWarm = 2000;    ///< nonzero: fast-forward warms
+                                    ///< caches and predictors (0 =
+                                    ///< emulate unwarmed); only
+                                    ///< zero-ness matters, though the
+                                    ///< value stays in the cell key
     std::uint64_t prefix = 0;       ///< exactly-measured cold prefix
                                     ///< (0 = one period): the startup
                                     ///< transient never extrapolates
@@ -66,26 +66,13 @@ struct SamplingParams
     /** Functional store-set shadow: while fast-forwarding, re-train
      *  exactly the (load PC, store PC) pairs this run's detailed
      *  intervals have already seen violate, so the learned memory
-     *  dependences survive checkpoint jumps and the predictor's
+     *  dependences survive fast-forward gaps and the predictor's
      *  periodic table clears instead of being re-discovered by
      *  squash storms inside the measurement intervals. (Pairing
      *  *functionally-observed* same-address ops instead is tempting
      *  but wrong: most never violate, and training them serializes
      *  the machine — see docs/EXPERIMENTS.md.) */
     bool ssShadow = true;
-    /** Warm-through fast-forward (the default): never checkpoint-
-     *  jump; emulate every skipped instruction with functional
-     *  warming (caches, branch predictor, virtual clock) so
-     *  *cumulative* long-lived state — a working set that takes
-     *  hundreds of chunks to become cache-resident — is preserved
-     *  between measurements. Slower than jumping (the whole run is
-     *  at least emulated, so speedup is bounded by the emulate/
-     *  detailed ratio) but it removes the dominant long-tier error
-     *  source on footprint-bound kernels (rtr: 25-29% error jumping,
-     *  under 4% warming through, still ~4x). Clear it to restore the
-     *  checkpoint-jump fast path; see docs/EXPERIMENTS.md for the
-     *  measured trade on both tiers. */
-    bool warmThrough = true;
     /** Measurement-phase perturbation seed (0 = legacy grid-aligned
      *  placement, bit-exact with salt-less builds). When set, each
      *  measured chunk's span starts at a deterministic offset hashed
@@ -100,13 +87,6 @@ struct SamplingParams
      *  the same salt, so keying it would be redundant. */
     std::uint64_t phaseSalt = 0;
 
-    /** Detailed + functionally-warmed work per period. */
-    std::uint64_t
-    dutyWork() const
-    {
-        return interval + warmup + ffWarm;
-    }
-
     /** Chunks measured exactly at the start (prefix rounded up). */
     std::uint64_t
     prefixChunks() const
@@ -119,19 +99,6 @@ struct SamplingParams
     coldPrefixWork() const
     {
         return prefixChunks() * period;
-    }
-
-    /**
-     * Work position where the fast-forward toward chunk @p k may stop
-     * jumping and must start warming (the checkpoint position the
-     * functional pre-pass captures for a measured chunk @p k).
-     */
-    std::uint64_t
-    jumpTarget(std::uint64_t k) const
-    {
-        std::uint64_t start = k * period;
-        std::uint64_t lead = warmup + ffWarm;
-        return start > lead ? start - lead : 0;
     }
 
     /** Sampling degenerates to a full detailed run. A zero interval
@@ -192,17 +159,12 @@ struct SampleChunk
     std::uint32_t cluster = 0;   ///< phase cluster id
 };
 
-// (The footprint-curve granularity, sampleFootLineBytes, lives in
-// common/types.hh: the memsys tracking and this summary's curve are
-// compared against each other and must share one constant.)
-
 /**
  * Config-independent functional summary of one (program, inputs) pair:
- * the total dynamic work (the extrapolation denominator), the phase
- * clustering of its period-grid chunks, and checkpoints ahead of the
- * chunks a sampled run measures (the first two post-prefix chunks of
- * each cluster). Computed once per binary by collectSampleSummary()
- * and shared by every machine configuration running that binary.
+ * the total dynamic work (the extrapolation denominator) and the phase
+ * clustering of its period-grid chunks. Computed once per binary by
+ * collectSampleSummary() and shared by every machine configuration
+ * running that binary.
  */
 struct SampleSummary
 {
@@ -210,25 +172,6 @@ struct SampleSummary
     std::uint64_t totalSlots = 0;
     std::uint32_t clusters = 0;
     std::vector<SampleChunk> chunks;    ///< ascending start positions
-    std::vector<EmuCheckpoint> ckpts;   ///< ascending work positions
-    /** Cumulative unique data lines (sampleFootLineBytes granularity)
-     *  touched from the start of the run through the end of each
-     *  chunk (parallel to @c chunks). The per-chunk delta is the
-     *  number of *genuinely new* lines a chunk first-touches; during
-     *  a checkpoint-jump run, any measurement-interval first-touches
-     *  beyond that expectation are lines the jumps skipped and the
-     *  warm budget failed to restore — the signal behind the per-cell
-     *  footprint warning. */
-    std::vector<std::uint64_t> footLines;
-
-    /** Expected new unique lines inside chunk @p idx. */
-    std::uint64_t
-    newLinesIn(std::size_t idx) const
-    {
-        if (idx >= footLines.size())
-            return 0;
-        return footLines[idx] - (idx ? footLines[idx - 1] : 0);
-    }
 };
 
 } // namespace mg

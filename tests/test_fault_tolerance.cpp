@@ -590,22 +590,28 @@ TEST(Journal, CorruptRecordTruncatesFromThere)
 
 TEST(Journal, BadHeaderRestartsFresh)
 {
-    ScratchDir dir("header");
-    {
+    // Byte 0 starts the magic, byte 4 the format version: a foreign
+    // file and a journal written by an older record layout must both
+    // restart instead of replaying records the reader cannot parse.
+    for (long long off : {0LL, 4LL}) {
+        SCOPED_TRACE(off);
+        ScratchDir dir("header");
+        {
+            SweepJournal j;
+            ASSERT_TRUE(j.open(dir.str(), 0xabcd));
+            j.record(1, makeCell(1));
+        }
+        flipByte(journalFile(dir), off);
+        {
+            SweepJournal j;
+            ASSERT_TRUE(j.open(dir.str(), 0xabcd));
+            EXPECT_EQ(j.replayed(), 0u);   // distrust the whole file
+            j.record(2, makeCell(2));
+        }
         SweepJournal j;
         ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-        j.record(1, makeCell(1));
+        EXPECT_EQ(j.replayed(), 1u);   // the restarted file is valid
     }
-    flipByte(journalFile(dir), 0);   // not our magic any more
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-        EXPECT_EQ(j.replayed(), 0u);   // distrust the whole file
-        j.record(2, makeCell(2));
-    }
-    SweepJournal j;
-    ASSERT_TRUE(j.open(dir.str(), 0xabcd));
-    EXPECT_EQ(j.replayed(), 1u);   // the restarted file is valid
 }
 
 TEST(Journal, UnusableDirectoryDegradesToNoOp)
