@@ -2,19 +2,26 @@
  * @file
  * google-benchmark microbenchmarks of the library's hot operations:
  * assembly, emulation rate, enumeration + selection, cache access,
- * branch prediction, end-to-end cycle simulation rate, and the
- * experiment engine's artifact-cache and sweep paths. Useful when
- * tuning the infrastructure itself.
+ * branch prediction, end-to-end cycle simulation rate, the
+ * experiment engine's artifact-cache and sweep paths, and the
+ * warm-checkpoint store's record round trip. Useful when tuning the
+ * infrastructure itself.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "assembler/assembler.hh"
+#include "engine/checkpoint_store.hh"
 
 #include "sim/simulator.hh"
 #include "uarch/branch_pred.hh"
+#include "uarch/core.hh"
 #include "uarch/sliding_window.hh"
 #include "workloads/suites.hh"
 
@@ -270,6 +277,55 @@ BM_EngineSweep(benchmark::State &state)
     }
 }
 
+/**
+ * Warm-checkpoint store round trip on a long-tier kernel: one warm
+ * record through serializeWarm -> CheckpointStore::store -> load ->
+ * tryRestoreWarm, the path a sampled cell takes once per fast-forward
+ * gap (writing in a cold session, restoring in a warm one). The MB
+ * counter is the rate in decoded record megabytes (1e6 bytes) per
+ * second through the whole cycle, record_KB the record's size; the
+ * record lives in a scratch store under the temp directory.
+ */
+void
+BM_WarmRecordRoundTrip(benchmark::State &state)
+{
+    BoundKernel bk = bindKernel(findKernel("gap"), Scale::Long);
+    CoreConfig cfg;
+    Core src(*bk.program, nullptr, cfg);
+    bk.kernel->setup(src.oracle(), 0);
+    src.fastForward(1000000, true);
+    Core dst(*bk.program, nullptr, cfg);
+    bk.kernel->setup(dst.oracle(), 0);
+
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+        ("mg-bench-store-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    std::uint64_t bytes = 0;
+    std::size_t recordBytes = 0;
+    {
+        CheckpointStore store({dir.string()});
+        std::vector<std::uint8_t> loaded;
+        for (auto _ : state) {
+            SerialWriter w;
+            src.serializeWarm(w);
+            store.store("warm|bench|p0", w.data());
+            if (!store.load("warm|bench|p0", loaded) ||
+                !dst.tryRestoreWarm(loaded)) {
+                state.SkipWithError("warm record did not round-trip");
+                break;
+            }
+            benchmark::DoNotOptimize(loaded.data());
+            bytes += loaded.size();
+            recordBytes = loaded.size();
+        }
+    }
+    fs::remove_all(dir);
+    state.counters["MB"] = benchmark::Counter(
+        static_cast<double>(bytes) / 1e6, benchmark::Counter::kIsRate);
+    state.counters["record_KB"] = static_cast<double>(recordBytes) / 1e3;
+}
+
 BENCHMARK(BM_Assemble);
 BENCHMARK(BM_EmulationRate);
 BENCHMARK(BM_EnumerateAndSelect);
@@ -283,6 +339,7 @@ BENCHMARK(BM_WindowConflictReserveUnpacked);
 BENCHMARK(BM_SelectStageDense);
 BENCHMARK(BM_EngineCacheHit);
 BENCHMARK(BM_EngineSweep)->Arg(1)->Arg(4)->UseRealTime();
+BENCHMARK(BM_WarmRecordRoundTrip);
 
 } // namespace
 

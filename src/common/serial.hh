@@ -1,7 +1,9 @@
 /**
  * @file
  * Minimal binary serialization for the checkpoint store: fixed-width
- * little-endian primitives appended to a byte vector, and a
+ * little-endian primitives appended to a byte vector (each a single
+ * memcpy of the host representation, which is little-endian), a
+ * word-at-a-time record checksum, and a
  * bounds-checked reader with an error latch. Readers never throw and
  * never read past the end: the first malformed field trips ok() and
  * every subsequent read returns zero, so callers can parse a whole
@@ -13,12 +15,18 @@
 #ifndef MG_COMMON_SERIAL_HH
 #define MG_COMMON_SERIAL_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 namespace mg {
+
+// The wire format is little-endian and the primitives copy the host
+// representation verbatim.
+static_assert(std::endian::native == std::endian::little,
+              "serial primitives assume a little-endian host");
 
 /** FNV-1a 64-bit over a byte range (record checksums, store keys). */
 inline std::uint64_t
@@ -33,6 +41,61 @@ fnv1a64(const void *data, std::size_t len,
     return h;
 }
 
+/**
+ * Record checksum, 8 bytes per step: the input is read as 64-bit
+ * words dealt round-robin to four independent lanes (the trailing
+ * 1-7 bytes form one zero-padded word), and each lane folds its words
+ * through an xxHash64-style round
+ *
+ *     acc' = rotl(acc + word * k2, 31) * k1     (k1, k2 odd)
+ *
+ * which is a bijection of the word for a fixed acc and of acc for a
+ * fixed word. Any change confined to one word therefore changes its
+ * lane's final value with certainty, and the lane merge below is
+ * again one such round per lane, so the checksum changes too. The
+ * length is mixed in first and the final avalanche is invertible.
+ */
+inline std::uint64_t
+checksum64(const void *data, std::size_t len)
+{
+    constexpr std::uint64_t k1 = 0x9e3779b185ebca87ull;
+    constexpr std::uint64_t k2 = 0xc2b2ae3d27d4eb4full;
+    constexpr std::uint64_t k3 = 0x165667b19e3779f9ull;
+    auto round = [](std::uint64_t acc, std::uint64_t word) {
+        return std::rotl(acc + word * k2, 31) * k1;
+    };
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::uint64_t lane[4] = {k1 + k2, k2, 0, k3};
+    std::size_t i = 0;
+    for (; len - i >= 32; i += 32) {
+        for (int j = 0; j < 4; ++j) {
+            std::uint64_t w;
+            std::memcpy(&w, p + i + 8 * j, 8);
+            lane[j] = round(lane[j], w);
+        }
+    }
+    int j = 0;
+    for (; len - i >= 8; i += 8, ++j) {
+        std::uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        lane[j] = round(lane[j], w);
+    }
+    if (i < len) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, p + i, len - i);
+        lane[j] = round(lane[j], w);
+    }
+    std::uint64_t h = round(k3, len);
+    for (std::uint64_t v : lane)
+        h = round(h, v);
+    h ^= h >> 33;
+    h *= k2;
+    h ^= h >> 29;
+    h *= k3;
+    h ^= h >> 32;
+    return h;
+}
+
 /** Append-only little-endian encoder. */
 class SerialWriter
 {
@@ -43,19 +106,8 @@ class SerialWriter
         buf.push_back(v);
     }
 
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    void u32(std::uint32_t v) { bytes(&v, sizeof v); }
+    void u64(std::uint64_t v) { bytes(&v, sizeof v); }
 
     void
     f64(double v)
@@ -68,8 +120,10 @@ class SerialWriter
     void
     bytes(const void *data, std::size_t len)
     {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        buf.insert(buf.end(), p, p + len);
+        std::size_t n = buf.size();
+        buf.resize(n + len);
+        if (len)
+            std::memcpy(buf.data() + n, data, len);
     }
 
     /** Length-prefixed string. */
@@ -119,27 +173,8 @@ class SerialReader
         return p[pos_++];
     }
 
-    std::uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(p[pos_++]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!need(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(p[pos_++]) << (8 * i);
-        return v;
-    }
+    std::uint32_t u32() { return word<std::uint32_t>(); }
+    std::uint64_t u64() { return word<std::uint64_t>(); }
 
     double
     f64()
@@ -197,6 +232,18 @@ class SerialReader
     void fail() { ok_ = false; }
 
   private:
+    template <typename T>
+    T
+    word()
+    {
+        T v = 0;
+        if (need(sizeof v)) {
+            std::memcpy(&v, p + pos_, sizeof v);
+            pos_ += sizeof v;
+        }
+        return v;
+    }
+
     bool
     need(std::size_t n)
     {

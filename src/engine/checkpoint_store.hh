@@ -71,7 +71,7 @@ class CheckpointStore
   public:
     /** Bumped whenever any serialized layout changes: a version
      *  mismatch reads as corruption (reject, recompute, overwrite). */
-    static constexpr std::uint32_t formatVersion = 2;
+    static constexpr std::uint32_t formatVersion = 3;
 
     /** Opens (creating if needed) the cache directory; on failure the
      *  store warns once and every operation becomes a no-op. */
@@ -124,6 +124,21 @@ class CheckpointStore
     std::uint64_t stampSeq_ = 0;
     CheckpointStoreCounters ctr_;
 };
+
+/**
+ * The store's payload encoding: a 0x00 byte becomes 0x00 followed by
+ * a run length (1-255) covering it and the zeros after it; other
+ * bytes pass through. Runs longer than 255 split into maximal runs
+ * first, so the encoding of a buffer is unique.
+ */
+std::vector<std::uint8_t> rleEncode(const std::uint8_t *in,
+                                    std::size_t len);
+
+/** Decode rleEncode output into @p out (resized to @p expect).
+ *  @return false when the stream is malformed (a run byte missing or
+ *  zero) or does not decode to exactly @p expect bytes. */
+bool rleDecode(const std::uint8_t *in, std::size_t len,
+               std::vector<std::uint8_t> &out, std::size_t expect);
 
 /**
  * Adapt @p store into the per-cell client runCellSampled consumes.

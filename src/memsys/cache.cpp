@@ -87,6 +87,13 @@ Cache::flush()
         l = Line();
 }
 
+namespace {
+
+/** Serialized size of one CacheLineState: index, flags, tag, lastUse. */
+constexpr std::size_t lineStateBytes = 4 + 1 + 8 + 8;
+
+} // namespace
+
 void
 CacheState::serialize(SerialWriter &w) const
 {
@@ -95,10 +102,13 @@ CacheState::serialize(SerialWriter &w) const
     w.u64(useClock);
     w.u64(hits);
     w.u64(misses);
-    w.u64(flags.size());
-    w.bytes(flags.data(), flags.size());
-    w.vec(tags);
-    w.vec(lastUse);
+    w.u64(lines.size());
+    for (const CacheLineState &l : lines) {
+        w.u32(l.index);
+        w.u8(l.flags);
+        w.u64(l.tag);
+        w.u64(l.lastUse);
+    }
 }
 
 bool
@@ -110,15 +120,17 @@ CacheState::deserialize(SerialReader &r)
     hits = r.u64();
     misses = r.u64();
     std::uint64_t n = r.u64();
-    if (n > r.remaining()) {
+    if (n > r.remaining() / lineStateBytes) {
         r.fail();
         return false;
     }
-    flags.resize(static_cast<std::size_t>(n));
-    if (!r.bytes(flags.data(), flags.size()))
-        return false;
-    tags = r.vec<Addr>();
-    lastUse = r.vec<std::uint64_t>();
+    lines.resize(static_cast<std::size_t>(n));
+    for (CacheLineState &l : lines) {
+        l.index = r.u32();
+        l.flags = r.u8();
+        l.tag = r.u64();
+        l.lastUse = r.u64();
+    }
     return r.ok();
 }
 
@@ -131,14 +143,13 @@ Cache::exportState() const
     s.useClock = useClock;
     s.hits = hits_;
     s.misses = misses_;
-    s.flags.reserve(lines.size());
-    s.tags.reserve(lines.size());
-    s.lastUse.reserve(lines.size());
-    for (const Line &l : lines) {
-        s.flags.push_back(static_cast<std::uint8_t>(
-            (l.valid ? 1 : 0) | (l.dirty ? 2 : 0)));
-        s.tags.push_back(l.tag);
-        s.lastUse.push_back(l.lastUse);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const Line &l = lines[i];
+        if (l.valid)
+            s.lines.push_back({static_cast<std::uint32_t>(i),
+                               static_cast<std::uint8_t>(
+                                   1 | (l.dirty ? 2 : 0)),
+                               l.tag, l.lastUse});
     }
     return s;
 }
@@ -146,9 +157,17 @@ Cache::exportState() const
 bool
 Cache::stateCompatible(const CacheState &s) const
 {
-    return s.sets == geom.numSets() && s.assoc == geom.assoc &&
-        s.flags.size() == lines.size() && s.tags.size() == lines.size() &&
-        s.lastUse.size() == lines.size();
+    if (s.sets != geom.numSets() || s.assoc != geom.assoc)
+        return false;
+    std::uint64_t next = 0;   // lowest index the next line may take
+    for (const CacheLineState &l : s.lines) {
+        // Valid, optionally dirty, no other bits.
+        if (l.index < next || l.index >= lines.size() ||
+            (l.flags & ~2) != 1)
+            return false;
+        next = std::uint64_t(l.index) + 1;
+    }
+    return true;
 }
 
 void
@@ -157,14 +176,16 @@ Cache::adoptState(const CacheState &s)
     if (!stateCompatible(s))
         panic("cache %s: adoptState of incompatible state",
               name_.c_str());
+    flush();
     useClock = s.useClock;
     hits_ = s.hits;
     misses_ = s.misses;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        lines[i].valid = (s.flags[i] & 1) != 0;
-        lines[i].dirty = (s.flags[i] & 2) != 0;
-        lines[i].tag = s.tags[i];
-        lines[i].lastUse = s.lastUse[i];
+    for (const CacheLineState &l : s.lines) {
+        Line &dst = lines[l.index];
+        dst.valid = true;
+        dst.dirty = (l.flags & 2) != 0;
+        dst.tag = l.tag;
+        dst.lastUse = l.lastUse;
     }
 }
 

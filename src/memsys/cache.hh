@@ -35,19 +35,29 @@ struct CacheResult
     bool writebackDirty = false;  ///< a dirty victim was evicted
 };
 
+/** One live line of a CacheState: its set-major array index plus the
+ *  line's fields. */
+struct CacheLineState
+{
+    std::uint32_t index = 0;
+    std::uint8_t flags = 0;      ///< bit0 valid (always set), bit1 dirty
+    Addr tag = 0;
+    std::uint64_t lastUse = 0;
+};
+
 /**
- * Complete replaceable state of one cache (tag array + LRU clock +
- * stats), the unit the warm-checkpoint store serializes. Line order
- * matches the internal set-major array; geometry travels with the
- * state so adoption into a differently-shaped cache is refused.
+ * Complete replaceable state of one cache (live lines + LRU clock +
+ * stats), the unit the warm-checkpoint store serializes. Only valid
+ * lines are listed, in ascending index order: an invalid line is
+ * always a default Line (access() only fills lines and flush() resets
+ * them), so the sparse list is exact. Geometry travels with the state
+ * so adoption into a differently-shaped cache is refused.
  */
 struct CacheState
 {
     std::uint32_t sets = 0;
     std::uint32_t assoc = 0;
-    std::vector<std::uint8_t> flags;     ///< bit0 valid, bit1 dirty
-    std::vector<Addr> tags;
-    std::vector<std::uint64_t> lastUse;
+    std::vector<CacheLineState> lines;
     std::uint64_t useClock = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -92,10 +102,12 @@ class Cache
     CacheState exportState() const;
 
     /** @return true when @p s was produced by a cache of this
-     *  geometry and is internally consistent (adoptState precondition). */
+     *  geometry and is internally consistent — every listed line in
+     *  range, ascending, and valid (adoptState precondition). */
     bool stateCompatible(const CacheState &s) const;
 
-    /** Replace tags/LRU/stats with @p s (requires stateCompatible). */
+    /** Reset every line, then apply the live lines, LRU clock, and
+     *  stats of @p s (requires stateCompatible). */
     void adoptState(const CacheState &s);
 
     double

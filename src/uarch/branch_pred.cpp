@@ -1,5 +1,6 @@
 #include "uarch/branch_pred.hh"
 
+#include <algorithm>
 #include <cstddef>
 
 #include "common/logging.hh"
@@ -150,6 +151,10 @@ getU8Vec(SerialReader &r, std::vector<std::uint8_t> &v)
     return r.bytes(v.data(), v.size());
 }
 
+/** Serialized size of one BtbLineState: index, valid, tag, target,
+ *  lastUse. */
+constexpr std::size_t btbLineBytes = 4 + 1 + 8 + 8 + 8;
+
 } // namespace
 
 void
@@ -159,10 +164,14 @@ BranchPredState::serialize(SerialWriter &w) const
     putU8Vec(w, gshare);
     putU8Vec(w, chooser);
     w.u64(history);
-    putU8Vec(w, btbValid);
-    w.vec(btbTag);
-    w.vec(btbTarget);
-    w.vec(btbLastUse);
+    w.u64(btb.size());
+    for (const BtbLineState &e : btb) {
+        w.u32(e.index);
+        w.u8(e.valid);
+        w.u64(e.tag);
+        w.u64(e.target);
+        w.u64(e.lastUse);
+    }
     w.u64(btbClock);
     w.vec(ras);
     w.u32(rasTop);
@@ -177,11 +186,19 @@ BranchPredState::deserialize(SerialReader &r)
         !getU8Vec(r, chooser))
         return false;
     history = r.u64();
-    if (!getU8Vec(r, btbValid))
+    std::uint64_t n = r.u64();
+    if (n > r.remaining() / btbLineBytes) {
+        r.fail();
         return false;
-    btbTag = r.vec<Addr>();
-    btbTarget = r.vec<Addr>();
-    btbLastUse = r.vec<std::uint64_t>();
+    }
+    btb.resize(static_cast<std::size_t>(n));
+    for (BtbLineState &e : btb) {
+        e.index = r.u32();
+        e.valid = r.u8();
+        e.tag = r.u64();
+        e.target = r.u64();
+        e.lastUse = r.u64();
+    }
     btbClock = r.u64();
     ras = r.vec<Addr>();
     rasTop = r.u32();
@@ -198,15 +215,11 @@ BranchPredictor::exportState() const
     s.gshare = gshare;
     s.chooser = chooser;
     s.history = history;
-    s.btbValid.reserve(btb.size());
-    s.btbTag.reserve(btb.size());
-    s.btbTarget.reserve(btb.size());
-    s.btbLastUse.reserve(btb.size());
-    for (const BtbEntry &e : btb) {
-        s.btbValid.push_back(e.valid ? 1 : 0);
-        s.btbTag.push_back(e.tag);
-        s.btbTarget.push_back(e.target);
-        s.btbLastUse.push_back(e.lastUse);
+    for (std::size_t i = 0; i < btb.size(); ++i) {
+        const BtbEntry &e = btb[i];
+        if (e.valid)
+            s.btb.push_back({static_cast<std::uint32_t>(i), 1, e.tag,
+                             e.target, e.lastUse});
     }
     s.btbClock = btbClock;
     s.ras = ras;
@@ -219,13 +232,17 @@ BranchPredictor::exportState() const
 bool
 BranchPredictor::stateCompatible(const BranchPredState &s) const
 {
-    return s.bimodal.size() == bimodal.size() &&
-        s.gshare.size() == gshare.size() &&
-        s.chooser.size() == chooser.size() &&
-        s.btbValid.size() == btb.size() &&
-        s.btbTag.size() == btb.size() &&
-        s.btbTarget.size() == btb.size() &&
-        s.btbLastUse.size() == btb.size() && s.ras.size() == ras.size();
+    if (s.bimodal.size() != bimodal.size() ||
+        s.gshare.size() != gshare.size() ||
+        s.chooser.size() != chooser.size() || s.ras.size() != ras.size())
+        return false;
+    std::uint64_t next = 0;   // lowest index the next entry may take
+    for (const BtbLineState &e : s.btb) {
+        if (e.index < next || e.index >= btb.size() || e.valid != 1)
+            return false;
+        next = std::uint64_t(e.index) + 1;
+    }
+    return true;
 }
 
 void
@@ -237,12 +254,9 @@ BranchPredictor::adoptState(const BranchPredState &s)
     gshare = s.gshare;
     chooser = s.chooser;
     history = s.history;
-    for (std::size_t i = 0; i < btb.size(); ++i) {
-        btb[i].valid = s.btbValid[i] != 0;
-        btb[i].tag = s.btbTag[i];
-        btb[i].target = s.btbTarget[i];
-        btb[i].lastUse = s.btbLastUse[i];
-    }
+    std::fill(btb.begin(), btb.end(), BtbEntry());
+    for (const BtbLineState &e : s.btb)
+        btb[e.index] = {true, e.tag, e.target, e.lastUse};
     btbClock = s.btbClock;
     ras = s.ras;
     rasTop = s.rasTop;

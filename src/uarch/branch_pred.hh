@@ -33,10 +33,22 @@ struct BranchPredConfig
     std::uint32_t rasEntries = 16;
 };
 
+/** One live BTB entry of a BranchPredState: its set-major array index
+ *  plus the entry's fields. */
+struct BtbLineState
+{
+    std::uint32_t index = 0;
+    std::uint8_t valid = 0;      ///< always 1 for a listed entry
+    Addr tag = 0;
+    Addr target = 0;
+    std::uint64_t lastUse = 0;
+};
+
 /**
  * Complete trained state of the predictor: direction tables, global
- * history, BTB contents (split into parallel arrays so the byte
- * layout is canonical), RAS, and the lookup/mispredict counters.
+ * history, the live BTB entries (ascending index; an invalid entry is
+ * always a default entry, so the sparse list is exact), RAS, and the
+ * lookup/mispredict counters.
  */
 struct BranchPredState
 {
@@ -44,10 +56,7 @@ struct BranchPredState
     std::vector<std::uint8_t> gshare;
     std::vector<std::uint8_t> chooser;
     std::uint64_t history = 0;
-    std::vector<std::uint8_t> btbValid;
-    std::vector<Addr> btbTag;
-    std::vector<Addr> btbTarget;
-    std::vector<std::uint64_t> btbLastUse;
+    std::vector<BtbLineState> btb;
     std::uint64_t btbClock = 0;
     std::vector<Addr> ras;
     std::uint32_t rasTop = 0;
@@ -95,10 +104,12 @@ class BranchPredictor
     /** Snapshot the full trained state (checkpoint store). */
     BranchPredState exportState() const;
 
-    /** @return true when @p s matches this predictor's table sizes. */
+    /** @return true when @p s matches this predictor's table sizes
+     *  and its BTB entries are in range, ascending, and valid. */
     bool stateCompatible(const BranchPredState &s) const;
 
-    /** Replace the trained state with @p s (requires stateCompatible). */
+    /** Replace the trained state with @p s (requires stateCompatible);
+     *  BTB entries not listed in @p s are reset. */
     void adoptState(const BranchPredState &s);
 
   private:

@@ -1386,7 +1386,7 @@ Core::ffAliasScan(const ExecRecord &rec)
 
 /** Layout version of serializeWarm records (independent of the store's
  *  file format version: this one tracks the core's state shape). */
-static constexpr std::uint32_t warmStateVersion = 1;
+static constexpr std::uint32_t warmStateVersion = 2;
 
 void
 Core::serializeWarm(SerialWriter &w) const

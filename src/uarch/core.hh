@@ -282,6 +282,18 @@ class Core
     void fastForward(std::uint64_t workTarget, bool warm,
                      double ipcEst = 0);
 
+    /** Serialize the complete warm state at a drained-pipeline
+     *  fast-forward boundary (the warm-checkpoint store's record):
+     *  clocks, the functional oracle, and the trained
+     *  hierarchy/predictor/store-set contents. */
+    void serializeWarm(SerialWriter &w) const;
+
+    /** Parse + validate a serializeWarm record and, only if every
+     *  piece is well-formed and compatible with this configuration,
+     *  atomically adopt it (never partially mutates on failure). The
+     *  pipeline must be empty. */
+    bool tryRestoreWarm(const std::vector<std::uint8_t> &bytes);
+
     /** Access the oracle (for architectural state checks in tests). */
     Emulator &oracle() { return emu; }
 
@@ -477,16 +489,6 @@ class Core
      * still accumulate (one bump per idle cycle, as in stepping).
      */
     Cycle idleSkipTarget(std::uint64_t **stallCounter);
-
-    // --- warm-checkpoint store plumbing ---
-    /** Serialize the complete warm state at a drained-pipeline
-     *  fast-forward boundary: clocks, the functional oracle, and the
-     *  trained hierarchy/predictor/store-set contents. */
-    void serializeWarm(SerialWriter &w) const;
-    /** Parse + validate a serializeWarm record and, only if every
-     *  piece is well-formed and compatible with this configuration,
-     *  atomically adopt it (never partially mutates on failure). */
-    bool tryRestoreWarm(const std::vector<std::uint8_t> &bytes);
 
     // --- helpers ---
     DynInst *pullOracle();

@@ -5,17 +5,22 @@
  * Three layers, innermost out:
  *  - serialization round trips for every warmable structure (the
  *    functional oracle, the cache hierarchy, the branch predictor,
- *    the store sets), including geometry/shape-mismatch rejection;
- *  - the on-disk store's file format defenses: truncation, flipped
- *    bytes, stale version headers, hash-slot collisions, LRU
- *    eviction, unusable directories, and mid-session write failures
- *    all degrade to misses — never crash, never return wrong data;
+ *    the store sets), including geometry/shape-mismatch rejection and
+ *    malformed sparse cache/BTB lists, which a core refuses without
+ *    changing state;
+ *  - the on-disk store: the zero-RLE codec against a byte-at-a-time
+ *    reference, the record checksum, and the file format defenses:
+ *    truncation, flipped bytes, stale version headers, hash-slot
+ *    collisions, LRU eviction, unusable directories, and mid-session
+ *    write failures all degrade to misses — never crash, never
+ *    return wrong data;
  *  - end-to-end: a cold sampled session populates the store, a warm
  *    session restores from it bit-identically; corrupting every
  *    record between the two sessions forces the warm session back
  *    onto the recompute path and it must still produce the cold
  *    session's exact stats (the never-silently-mis-simulate
- *    contract).
+ *    contract). Records in the previous file format are stale and
+ *    recompute identically too.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +31,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serial.hh"
@@ -34,6 +41,7 @@
 #include "engine/engine.hh"
 #include "memsys/hierarchy.hh"
 #include "uarch/branch_pred.hh"
+#include "uarch/core.hh"
 #include "uarch/store_sets.hh"
 #include "workloads/suites.hh"
 
@@ -119,6 +127,146 @@ sampledSmall(SimConfig cfg)
     return cfg;
 }
 
+/** The zero-RLE encoder one byte at a time (the codec's definition). */
+std::vector<std::uint8_t>
+refRleEncode(const std::vector<std::uint8_t> &in)
+{
+    std::vector<std::uint8_t> out;
+    for (std::size_t i = 0; i < in.size();) {
+        if (in[i] != 0) {
+            out.push_back(in[i++]);
+            continue;
+        }
+        std::size_t run = 1;
+        while (run < 255 && i + run < in.size() && in[i + run] == 0)
+            ++run;
+        out.push_back(0);
+        out.push_back(static_cast<std::uint8_t>(run));
+        i += run;
+    }
+    return out;
+}
+
+/** The zero-RLE decoder one byte at a time. */
+bool
+refRleDecode(const std::vector<std::uint8_t> &in,
+             std::vector<std::uint8_t> &out, std::size_t expect)
+{
+    out.clear();
+    for (std::size_t i = 0; i < in.size();) {
+        std::uint8_t b = in[i++];
+        if (b != 0) {
+            out.push_back(b);
+        } else {
+            if (i >= in.size() || in[i] == 0)
+                return false;
+            out.insert(out.end(), in[i++], 0);
+        }
+        if (out.size() > expect)
+            return false;
+    }
+    return out.size() == expect;
+}
+
+/** Random buffer of @p n bytes whose zero runs (up to 700 long, so
+ *  runs split at 255) cover about @p zeroShare of it. */
+std::vector<std::uint8_t>
+zeroHeavy(std::mt19937_64 &rng, std::size_t n, double zeroShare)
+{
+    std::vector<std::uint8_t> buf;
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    while (buf.size() < n) {
+        std::size_t len = 1 + rng() % (coin(rng) < 0.2 ? 700 : 12);
+        bool zero = coin(rng) < zeroShare;
+        for (std::size_t i = 0; i < len && buf.size() < n; ++i)
+            buf.push_back(zero ? 0 : static_cast<std::uint8_t>(
+                                         1 + rng() % 255));
+    }
+    return buf;
+}
+
+/** A record as the previous store format (version 2) wrote it: the
+ *  same header layout, an FNV-1a checksum, and the zero-RLE body. */
+void
+writeFormat2Record(const fs::path &file, const std::string &key,
+                   const std::vector<std::uint8_t> &payload)
+{
+    SerialWriter w;
+    w.u32(0x4b43474d);   // "MGCK"
+    w.u32(2);
+    w.u8(1);
+    w.str(key);
+    w.u64(payload.size());
+    w.u64(fnv1a64(payload.data(), payload.size()));
+    std::vector<std::uint8_t> body = refRleEncode(payload);
+    w.bytes(body.data(), body.size());
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(w.data().data()),
+              static_cast<std::streamsize>(w.size()));
+}
+
+/** A Core::serializeWarm record taken apart into its sections, so a
+ *  test can damage one section and put the record back together. */
+struct WarmRecord
+{
+    std::uint32_t version = 0;
+    std::uint64_t now = 0;
+    std::uint64_t nextSeq = 0;
+    EmuCheckpoint ck;
+    HierarchyState mem;
+    BranchPredState bp;
+    StoreSetsState ss;
+    std::vector<std::uint8_t> rest;   ///< violation-shadow sections
+
+    bool
+    parse(const std::vector<std::uint8_t> &bytes)
+    {
+        SerialReader r(bytes);
+        version = r.u32();
+        now = r.u64();
+        nextSeq = r.u64();
+        if (!deserializeCheckpoint(r, ck) || !mem.deserialize(r) ||
+            !bp.deserialize(r) || !ss.deserialize(r))
+            return false;
+        rest.assign(bytes.begin() + static_cast<std::ptrdiff_t>(r.pos()),
+                    bytes.end());
+        return r.ok();
+    }
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        SerialWriter w;
+        w.u32(version);
+        w.u64(now);
+        w.u64(nextSeq);
+        serializeCheckpoint(ck, w);
+        mem.serialize(w);
+        bp.serialize(w);
+        ss.serialize(w);
+        w.bytes(rest.data(), rest.size());
+        return w.take();
+    }
+};
+
+/** A core on @p bk's oracle, functionally warmed to @p work. */
+std::unique_ptr<Core>
+warmedCore(const BoundKernel &bk, std::uint64_t work)
+{
+    auto core = std::make_unique<Core>(*bk.program, nullptr, CoreConfig{});
+    bk.kernel->setup(core->oracle(), 0);
+    core->fastForward(work, true);
+    return core;
+}
+
+std::vector<std::uint8_t>
+warmBytes(const Core &core)
+{
+    SerialWriter w;
+    core.serializeWarm(w);
+    return w.take();
+}
+
 } // namespace
 
 // ---------------------------------------------------------- serial layer
@@ -146,6 +294,12 @@ TEST(StoreSerial, PrimitivesRoundTripAndTruncationLatches)
         EXPECT_TRUE(r.ok());
         EXPECT_EQ(r.remaining(), 0u);
     }
+    // Fixed-width fields are little-endian on the wire.
+    EXPECT_EQ(bytes[1], 0xef);
+    EXPECT_EQ(bytes[4], 0xde);
+    EXPECT_EQ(bytes[5], 0xef);
+    EXPECT_EQ(bytes[12], 0x01);
+
     // Any truncation point must trip ok(), never read past the end.
     for (std::size_t cut : {std::size_t(0), bytes.size() / 2,
                             bytes.size() - 1}) {
@@ -231,10 +385,43 @@ TEST(StoreSerial, HierarchyRoundTripAndGeometryGuard)
     other.l1d = CacheGeometry{16 * 1024, 4, 64};
     EXPECT_FALSE(Hierarchy(other).stateCompatible(rt));
 
-    // Internally inconsistent vector lengths are malformed input.
-    HierarchyState bad = rt;
-    bad.l1d.tags.pop_back();
-    EXPECT_FALSE(Hierarchy(hc).stateCompatible(bad));
+    // Only live lines travel, and the tag arrays here are far from
+    // full.
+    std::size_t l2Lines = std::size_t(hc.l2.sizeBytes) / hc.l2.lineBytes;
+    ASSERT_GE(rt.l2.lines.size(), 2u);
+    EXPECT_LT(rt.l2.lines.size(), l2Lines);
+
+    // Malformed sparse lists are refused: an index past the array, a
+    // repeated or descending index, and a listed line without its
+    // valid bit (or with unknown flag bits).
+    auto refused = [&](HierarchyState bad, const char *what) {
+        EXPECT_FALSE(Hierarchy(hc).stateCompatible(bad)) << what;
+    };
+    {
+        HierarchyState bad = rt;
+        bad.l2.lines.back().index = static_cast<std::uint32_t>(l2Lines);
+        refused(bad, "index past the array");
+    }
+    {
+        HierarchyState bad = rt;
+        std::swap(bad.l1d.lines[0], bad.l1d.lines[1]);
+        refused(bad, "descending index");
+    }
+    {
+        HierarchyState bad = rt;
+        bad.l1i.lines[1].index = bad.l1i.lines[0].index;
+        refused(bad, "repeated index");
+    }
+    {
+        HierarchyState bad = rt;
+        bad.l2.lines[0].flags = 2;
+        refused(bad, "dirty line without its valid bit");
+    }
+    {
+        HierarchyState bad = rt;
+        bad.l1d.lines[0].flags = 5;
+        refused(bad, "unknown flag bit");
+    }
 }
 
 TEST(StoreSerial, BranchPredRoundTripAndShapeGuard)
@@ -259,15 +446,33 @@ TEST(StoreSerial, BranchPredRoundTripAndShapeGuard)
     BranchPredictor bp2;
     ASSERT_TRUE(bp2.stateCompatible(rt));
     bp2.adoptState(rt);
+    // Adopted state is bit-equal on re-export, and only the live BTB
+    // entries travel.
+    SerialWriter w2;
+    bp2.exportState().serialize(w2);
+    EXPECT_EQ(w.data(), w2.data());
+    ASSERT_GE(rt.btb.size(), 2u);
+    EXPECT_LT(rt.btb.size(), BranchPredConfig{}.btbEntries);
     for (Addr pc = 0x1000; pc < 0x3000; pc += 4) {
         EXPECT_EQ(bp2.predictDirection(pc), bp.predictDirection(pc));
         EXPECT_EQ(bp2.predictTarget(pc), bp.predictTarget(pc));
     }
     EXPECT_EQ(bp2.popReturn(), 0x7700u);
 
+
     BranchPredState bad = rt;
     bad.gshare.resize(bad.gshare.size() / 2);
     EXPECT_FALSE(BranchPredictor().stateCompatible(bad));
+
+    bad = rt;
+    bad.btb.back().index = BranchPredConfig{}.btbEntries;
+    EXPECT_FALSE(BranchPredictor().stateCompatible(bad)) << "past the array";
+    bad = rt;
+    std::swap(bad.btb[0], bad.btb[1]);
+    EXPECT_FALSE(BranchPredictor().stateCompatible(bad)) << "descending";
+    bad = rt;
+    bad.btb[0].valid = 0;
+    EXPECT_FALSE(BranchPredictor().stateCompatible(bad)) << "not valid";
 }
 
 TEST(StoreSerial, StoreSetsRoundTripAndShapeGuard)
@@ -297,6 +502,161 @@ TEST(StoreSerial, StoreSetsRoundTripAndShapeGuard)
     StoreSetsState bad = rt;
     bad.ssit.resize(bad.ssit.size() - 1);
     EXPECT_FALSE(StoreSets().stateCompatible(bad));
+}
+
+TEST(StoreSerial, WarmRecordRoundTripsBitIdentically)
+{
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    auto src = warmedCore(bk, 20000);
+    std::vector<std::uint8_t> rec = warmBytes(*src);
+
+    // The sections reassemble into the same bytes, and the sparse
+    // lists are really sparse.
+    WarmRecord parts;
+    ASSERT_TRUE(parts.parse(rec));
+    EXPECT_EQ(parts.bytes(), rec);
+    EXPECT_FALSE(parts.mem.l2.lines.empty());
+    EXPECT_FALSE(parts.bp.btb.empty());
+
+    // export -> serialize -> deserialize -> adopt -> export is exact.
+    auto dst = warmedCore(bk, 5000);
+    ASSERT_TRUE(dst->tryRestoreWarm(rec));
+    EXPECT_EQ(warmBytes(*dst), rec);
+}
+
+TEST(StoreSerial, MalformedSparseStateLeavesCoreUntouched)
+{
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    WarmRecord good;
+    ASSERT_TRUE(good.parse(warmBytes(*warmedCore(bk, 20000))));
+    ASSERT_GE(good.mem.l1d.lines.size(), 2u);
+    ASSERT_GE(good.bp.btb.size(), 2u);
+
+    auto dst = warmedCore(bk, 5000);
+    const std::vector<std::uint8_t> before = warmBytes(*dst);
+    auto refused = [&](const WarmRecord &bad, const char *what) {
+        EXPECT_FALSE(dst->tryRestoreWarm(bad.bytes())) << what;
+        EXPECT_EQ(warmBytes(*dst), before) << what;
+    };
+    {
+        WarmRecord bad = good;
+        bad.mem.l1d.lines.back().index = bad.mem.l1d.sets *
+            bad.mem.l1d.assoc;
+        refused(bad, "cache line index past the array");
+    }
+    {
+        WarmRecord bad = good;
+        std::swap(bad.mem.l1d.lines[0], bad.mem.l1d.lines[1]);
+        refused(bad, "non-ascending cache line index");
+    }
+    {
+        WarmRecord bad = good;
+        bad.mem.l2.lines[0].flags &= ~1;
+        refused(bad, "live cache line without its valid bit");
+    }
+    {
+        WarmRecord bad = good;
+        bad.bp.btb.back().index = BranchPredConfig{}.btbEntries;
+        refused(bad, "BTB index past the array");
+    }
+    {
+        WarmRecord bad = good;
+        std::swap(bad.bp.btb[0], bad.bp.btb[1]);
+        refused(bad, "non-ascending BTB index");
+    }
+    {
+        WarmRecord bad = good;
+        bad.bp.btb[0].valid = 0;
+        refused(bad, "live BTB entry without its valid bit");
+    }
+    // The undamaged record still restores.
+    EXPECT_TRUE(dst->tryRestoreWarm(good.bytes()));
+}
+
+// ----------------------------------------------------------- codec layer
+
+TEST(StoreCodec, RleMatchesBytewiseReference)
+{
+    std::mt19937_64 rng(14);
+    for (int t = 0; t < 300; ++t) {
+        std::size_t n = rng() % (t < 40 ? 300 : 5000);
+        double zeroShare = (t % 5) / 4.0;
+        std::vector<std::uint8_t> buf = zeroHeavy(rng, n, zeroShare);
+
+        std::vector<std::uint8_t> enc = rleEncode(buf.data(), buf.size());
+        ASSERT_EQ(enc, refRleEncode(buf)) << "trial " << t;
+        std::vector<std::uint8_t> dec;
+        ASSERT_TRUE(rleDecode(enc.data(), enc.size(), dec, n));
+        EXPECT_EQ(dec, buf);
+
+        // A stream that decodes past the expected length, or short of
+        // it, is refused.
+        if (n > 0) {
+            EXPECT_FALSE(rleDecode(enc.data(), enc.size(), dec, n - 1));
+        }
+        EXPECT_FALSE(rleDecode(enc.data(), enc.size(), dec, n + 1));
+        // So is every truncation (small trials: every cut).
+        if (t < 40) {
+            for (std::size_t cut = 0; cut < enc.size(); ++cut)
+                EXPECT_FALSE(rleDecode(enc.data(), cut, dec, n))
+                    << "trial " << t << " cut " << cut;
+        }
+    }
+
+    // Damaged streams: both decoders agree on acceptance and output.
+    for (int t = 0; t < 2000; ++t) {
+        std::vector<std::uint8_t> stream = zeroHeavy(rng, rng() % 64, 0.5);
+        for (std::uint8_t &b : stream) {
+            if (rng() % 4 == 0)
+                b = static_cast<std::uint8_t>(rng() % 3);
+        }
+        std::size_t expect = rng() % 1500;
+        std::vector<std::uint8_t> fast, ref;
+        bool okFast = rleDecode(stream.data(), stream.size(), fast, expect);
+        bool okRef = refRleDecode(stream, ref, expect);
+        ASSERT_EQ(okFast, okRef) << "trial " << t;
+        if (okFast) {
+            EXPECT_EQ(fast, ref);
+        }
+    }
+
+    // Hand-made defects: a run byte of zero, a missing run byte, and
+    // a claimed length no stream that short can reach.
+    std::vector<std::uint8_t> dec;
+    const std::uint8_t zeroRun[] = {7, 0, 0};
+    EXPECT_FALSE(rleDecode(zeroRun, sizeof zeroRun, dec, 1));
+    const std::uint8_t bareZero[] = {7, 0};
+    EXPECT_FALSE(rleDecode(bareZero, sizeof bareZero, dec, 2));
+    const std::uint8_t run[] = {0, 255};
+    EXPECT_TRUE(rleDecode(run, sizeof run, dec, 255));
+    EXPECT_FALSE(rleDecode(run, sizeof run, dec, std::size_t(1) << 40));
+    EXPECT_TRUE(rleDecode(nullptr, 0, dec, 0));
+    EXPECT_TRUE(dec.empty());
+}
+
+TEST(StoreCodec, ChecksumDetectsEverySingleBitFlip)
+{
+    // Lengths around the four-lane block and the zero-padded tail.
+    std::mt19937_64 rng(3);
+    for (std::size_t n : {std::size_t(0), std::size_t(1), std::size_t(7),
+                          std::size_t(8), std::size_t(31), std::size_t(32),
+                          std::size_t(61), std::size_t(300)}) {
+        std::vector<std::uint8_t> buf = zeroHeavy(rng, n, 0.7);
+        std::uint64_t sum = checksum64(buf.data(), buf.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            for (int bit = 0; bit < 8; ++bit) {
+                buf[i] ^= static_cast<std::uint8_t>(1u << bit);
+                EXPECT_NE(checksum64(buf.data(), buf.size()), sum)
+                    << "length " << n << " byte " << i << " bit " << bit;
+                buf[i] ^= static_cast<std::uint8_t>(1u << bit);
+            }
+        }
+        // The length is covered too: a zero byte appended or dropped.
+        std::vector<std::uint8_t> longer = buf;
+        longer.push_back(0);
+        EXPECT_NE(checksum64(longer.data(), longer.size()), sum);
+        EXPECT_EQ(checksum64(buf.data(), buf.size()), sum);
+    }
 }
 
 // ------------------------------------------------------------ file layer
@@ -538,6 +898,55 @@ TEST(StoreEndToEnd, CorruptedRecordsFallBackToIdenticalRecompute)
     EXPECT_GT(warm.checkpointStore()->counters().corrupt, 0u);
     // The rejected records were unlinked and rewritten: a third
     // session restores warm again.
+    ExperimentEngine healed(1);
+    healed.setCheckpointStore(
+        std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
+    SampledStats c = healed.cellSampled(w, sc);
+    EXPECT_GT(c.ckptRestores, 0u);
+    EXPECT_EQ(c.est, a.est);
+}
+
+TEST(StoreEndToEnd, FormatTwoRecordsRecomputeIdentically)
+{
+    ScratchDir dir("e2e-format2");
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    EngineWorkload w = workload(bk);
+    SimConfig sc = sampledSmall(SimConfig::intMemMg());
+
+    ExperimentEngine cold(1);
+    cold.setCheckpointStore(
+        std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
+    SampledStats a = cold.cellSampled(w, sc);
+    ASSERT_FALSE(a.exact);
+    ASSERT_GT(a.ckptWritebacks, 0u);
+
+    // Rewrite every record as the previous format wrote it, with the
+    // same payload.
+    std::vector<fs::path> files = recordFiles(dir.path);
+    {
+        CheckpointStore reader({dir.str()});
+        for (const fs::path &f : files) {
+            std::string key = recordKey(f);
+            std::vector<std::uint8_t> payload;
+            ASSERT_TRUE(reader.load(key, payload)) << key;
+            writeFormat2Record(f, key, payload);
+        }
+    }
+
+    ExperimentEngine warm(1);
+    warm.setCheckpointStore(
+        std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
+    SampledStats b = warm.cellSampled(w, sc);
+
+    // Every old record reads as stale and is recomputed, to the same
+    // result.
+    EXPECT_EQ(b.ckptRestores, 0u);
+    EXPECT_EQ(warm.checkpointStore()->counters().corrupt, files.size());
+    EXPECT_EQ(b.est, a.est);
+    EXPECT_EQ(b.intervals, a.intervals);
+    EXPECT_EQ(b.measuredCycles, a.measuredCycles);
+
+    // The recomputed records are current: the next session restores.
     ExperimentEngine healed(1);
     healed.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
