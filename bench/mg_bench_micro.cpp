@@ -147,7 +147,6 @@ BM_SampledSimRate(benchmark::State &state)
     sc.sampling.interval = static_cast<std::uint64_t>(state.range(0));
     sc.sampling.period = 10 * sc.sampling.interval;
     sc.sampling.warmup = sc.sampling.interval / 4;
-    sc.sampling.ffWarm = 2 * sc.sampling.interval;
     auto sum = engine.summary(w, sc);      // amortised, as in a sweep
     std::uint64_t work = 0;
     for (auto _ : state) {
@@ -293,7 +292,7 @@ BM_WarmRecordRoundTrip(benchmark::State &state)
     CoreConfig cfg;
     Core src(*bk.program, nullptr, cfg);
     bk.kernel->setup(src.oracle(), 0);
-    src.fastForward(1000000, true);
+    src.fastForward(1000000, /*ipcEst=*/1.0);
     Core dst(*bk.program, nullptr, cfg);
     bk.kernel->setup(dst.oracle(), 0);
 

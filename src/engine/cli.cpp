@@ -78,8 +78,6 @@ parseCli(int argc, char **argv)
             opt.samplePeriod = parseCount("--sample-period", next(a, i));
         } else if (a == "--warmup") {
             opt.sampleWarmup = parseCount("--warmup", next(a, i));
-        } else if (a == "--no-ss-shadow") {
-            opt.ssShadow = false;
         } else if (a == "--full") {
             opt.full = true;
         } else if (a == "--no-throughput") {
@@ -142,8 +140,6 @@ CliOptions::samplingParams() const
     sp.period = samplePeriod ? samplePeriod : 12 * sampleInterval;
     sp.warmup = sampleWarmup != ~0ull ? sampleWarmup
                                       : 2 * sampleInterval;
-    sp.ffWarm = 2 * sampleInterval;
-    sp.ssShadow = ssShadow;
     return sp;
 }
 

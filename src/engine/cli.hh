@@ -9,8 +9,7 @@
  * sampled simulation flags `--sample-interval N` (measure N work units
  * per period; enables sampling), `--sample-period N` (work between
  * measurement starts, default 12× interval), `--warmup N` (detailed
- * pre-measurement warmup work), `--no-ss-shadow` (disable store-set
- * shadow training during fast-forward), and `--full` (force full
+ * pre-measurement warmup work), and `--full` (force full
  * cycle-accurate simulation, overriding the sampling flags). Sampled
  * runs get an on-disk warm-checkpoint store: `--checkpoint-dir PATH`
  * overrides its location (default `$MG_CHECKPOINT_DIR`, else
@@ -62,7 +61,6 @@ struct CliOptions
     std::uint64_t sampleInterval = 0;   ///< --sample-interval N (0 = off)
     std::uint64_t samplePeriod = 0;     ///< --sample-period N (0 = 12×)
     std::uint64_t sampleWarmup = ~0ull; ///< --warmup N (~0 = default)
-    bool ssShadow = true;       ///< --no-ss-shadow clears it
     bool full = false;                  ///< --full wins over sampling
     bool noThroughput = false;  ///< --no-throughput: omit the
                                 ///< nondeterministic wall-clock fields

@@ -117,13 +117,13 @@ addSampling(Fingerprint &fp, const SamplingParams &s)
     fp.add("sInt", s.interval)
         .add("sPer", s.period)
         .add("sWup", s.warmup)
-        .add("sFfw", s.ffWarm)
-        .add("sPre", s.prefix)
+        // Retired knobs stay keyed as the constants they always held,
+        // so every cell key (and the phase salt hashed from it) is stable.
+        .add("sFfw", 2 * s.interval)
+        .add("sPre", std::uint64_t(0))
         .add("sCi", static_cast<std::uint64_t>(s.targetCi * 1e6))
         .add("sDuty", static_cast<std::uint64_t>(s.maxDuty * 1e6))
-        .add("sShad", s.ssShadow)
-        // Warm-through is the only fast-forward; the field stays so
-        // every cell key (and the phase salt hashed from it) is stable.
+        .add("sShad", true)
         .add("sWt", true);
 }
 

@@ -71,29 +71,6 @@ Hierarchy::instAccess(Addr addr, Cycle now)
 }
 
 void
-Hierarchy::warmData(Addr addr, bool write)
-{
-    if (!l1dCache.access(addr, write).hit)
-        l2Cache.access(addr, false);
-}
-
-void
-Hierarchy::warmInst(Addr addr)
-{
-    if (!l1iCache.access(addr, false).hit)
-        l2Cache.access(addr, false);
-}
-
-void
-Hierarchy::flush()
-{
-    l1iCache.flush();
-    l1dCache.flush();
-    l2Cache.flush();
-    busFreeAt = 0;
-}
-
-void
 HierarchyState::serialize(SerialWriter &w) const
 {
     l1i.serialize(w);

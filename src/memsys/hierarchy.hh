@@ -78,21 +78,6 @@ class Hierarchy
     /** Timed instruction fetch access. */
     MemAccess instAccess(Addr addr, Cycle now);
 
-    /**
-     * Tag-only warming accesses: same fill/LRU/dirty behaviour as the
-     * timed paths, but no bus occupancy and no DRAM bookkeeping. Used
-     * by clock-frozen fast-forwards (Core::fastForward without an IPC
-     * estimate), where going through the timed paths would push
-     * busFreeAt far past `now` and poison the next measurement;
-     * sampled runs instead advance a virtual clock and use the timed
-     * paths so bus queueing keeps evolving.
-     */
-    void warmData(Addr addr, bool write);
-    void warmInst(Addr addr);
-
-    /** Invalidate all caches (used between runs). */
-    void flush();
-
     Cache &l1i() { return l1iCache; }
     Cache &l1d() { return l1dCache; }
     Cache &l2() { return l2Cache; }

@@ -7,6 +7,7 @@
 #include "cfg/liveness.hh"
 #include "common/failsoft.hh"
 #include "common/rng.hh"
+#include "uarch/sampled_run.hh"
 
 namespace mg {
 
@@ -206,17 +207,6 @@ collectSampleSummary(const Program &prog, const MgTable *mgt,
 SampledStats
 runCellSampled(const Program &prog, const PreparedMg *prep,
                const SimConfig &cfg, const SetupFn &setup,
-               const SampleSummary &sum,
-               const std::atomic<bool> *cancel)
-{
-    return runCellSampled(prog, prep, cfg, setup, sum,
-                          static_cast<CellCheckpointClient *>(nullptr),
-                          cancel);
-}
-
-SampledStats
-runCellSampled(const Program &prog, const PreparedMg *prep,
-               const SimConfig &cfg, const SetupFn &setup,
                const SampleSummary &sum, CellCheckpointClient *store,
                const std::atomic<bool> *cancel)
 {
@@ -240,17 +230,14 @@ runCellSampled(const Program &prog, const PreparedMg *prep,
     // discovery pass and never updated (a frozen seed is what makes
     // every session's returned stats identical).
     std::vector<std::pair<Addr, Addr>> pairs;
-    bool havePairs = sp.ssShadow && store->loadViolPairs(pairs);
-    if (!havePairs) {
+    if (!store->loadViolPairs(pairs)) {
         // Discovery pass: the storeless trajectory (seed generation
         // h(empty)), restoring and writing back under that
         // generation's keys.
         auto core = freshCore();
         SampledStats discovery =
             core->runSampled(sp, sum, cfg.runBudget, store);
-        if (!sp.ssShadow)
-            return discovery;   // pairs cannot seed anything
-        pairs = core->violPairsSorted();
+        pairs = core->shadow()->sortedPairs();
         store->storeViolPairs(pairs);
         // No violations discovered (or the run degraded to exact):
         // the discovery pass *is* the final pass, and later sessions

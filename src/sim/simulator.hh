@@ -93,18 +93,6 @@ SampleSummary collectSampleSummary(const Program &prog, const MgTable *mgt,
                                        nullptr);
 
 /**
- * Sampled counterpart of runCell: alternate functionally-warmed
- * fast-forward with cycle-accurate measurement intervals and
- * extrapolate whole-run statistics (see Core::runSampled). @p sum
- * must come from collectSampleSummary for the same binary, inputs,
- * and sampling grid.
- */
-SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
-                            const SimConfig &cfg, const SetupFn &setup,
-                            const SampleSummary &sum,
-                            const std::atomic<bool> *cancel = nullptr);
-
-/**
  * A cell's view of the warm-checkpoint store: the per-chunk warm
  * records Core::runSampled exchanges (the WarmStoreIf base) plus the
  * cell's discovered store-set violation pairs. The engine implements
@@ -127,33 +115,34 @@ class CellCheckpointClient : public WarmStoreIf
 };
 
 /**
- * Store-backed runCellSampled: two-pass violation-seeded sampling.
+ * Sampled counterpart of runCell: alternate functionally-warmed
+ * fast-forward with cycle-accurate measurement intervals and
+ * extrapolate whole-run statistics (see Core::runSampled). @p sum
+ * must come from collectSampleSummary for the same binary, inputs,
+ * and sampling grid. @p cancel as in runCore.
  *
- * The documented accuracy failure of warm-through sampling
- * (reed@long/int-mem, ~26% IPC error) is duty-limited store-set
- * discovery: ordering violations are only observable inside detailed
- * intervals, so the predictor state the fast-forwarded majority of
- * the run carries is permanently under-trained. With a store
- * attached, the cell first runs a *discovery* pass (identical to the
- * storeless run) to collect the violating pair set V, persists V,
- * and — when V is nonempty — reruns with the shadow seeded by V.
- * Seeded pairs start dormant and wake at their first functionally
- * observed RAW opportunity (Core::ffAliasScan), so fast-forward gaps
- * train each learned dependence from the position where it first
- * becomes violable — not from work zero, which would serialize
- * program phases that predate the dependence. Warm sessions load
- * V directly and run the seeded pass alone, restoring per-chunk warm
- * records instead of re-warming: cold and warm sessions return
- * bit-identical stats (the warm pass replays the exact states the
- * cold pass wrote).
+ * With a @p store, two-pass violation-seeded sampling. The documented
+ * accuracy failure of warm-through sampling (reed@long/int-mem, ~26%
+ * IPC error) is duty-limited store-set discovery: ordering violations
+ * are only observable inside detailed intervals, so the predictor
+ * state the fast-forwarded majority of the run carries is permanently
+ * under-trained. With a store attached, the cell first runs a
+ * *discovery* pass (identical to the storeless run) to collect the
+ * violating pair set V, persists V, and — when V is nonempty — reruns
+ * with the shadow seeded by V (seeded pairs wake where the dependence
+ * first becomes violable; see ViolationShadow). Warm sessions load V
+ * directly and run the seeded pass
+ * alone, restoring per-chunk warm records instead of re-warming: cold
+ * and warm sessions return bit-identical stats (the warm pass replays
+ * the exact states the cold pass wrote).
  *
- * A null @p store (or degenerate / shadowless sampling parameters)
- * reproduces the storeless overload bit-exactly.
+ * A null @p store (or degenerate sampling parameters) runs the single
+ * storeless pass.
  */
 SampledStats runCellSampled(const Program &prog, const PreparedMg *prep,
                             const SimConfig &cfg, const SetupFn &setup,
                             const SampleSummary &sum,
-                            CellCheckpointClient *store,
+                            CellCheckpointClient *store = nullptr,
                             const std::atomic<bool> *cancel = nullptr);
 
 /** Append @p sum to @p w (the checkpoint store's summary record). */

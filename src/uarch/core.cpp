@@ -4,6 +4,7 @@
 
 #include "common/failsoft.hh"
 #include "common/logging.hh"
+#include "uarch/sampled_run.hh"
 
 namespace mg {
 
@@ -57,6 +58,8 @@ Core::Core(const Program &p, const MgTable *t, const CoreConfig &c)
     replayScratch.reserve(
         static_cast<std::size_t>(c.robSize + c.fetchQueueSize));
 }
+
+Core::~Core() = default;
 
 Addr
 Core::lineOf(Addr pc) const
@@ -135,8 +138,8 @@ Core::pullOracle()
             }
             continue;
         }
-        if (ffShadow)
-            ffAliasScan(d->rec);    // early-outs with no dormant edges
+        if (shadow_)
+            shadow_->observe(d->rec, emu.dynWork());
         d->pc = d->rec.pc;
         d->insn = *d->rec.insn;
         d->cls = d->rec.cls;        // classified once, at predecode
@@ -469,17 +472,6 @@ Core::doDispatch()
         fetchQueue.pop_front();
         ++moved;
     }
-}
-
-bool
-Core::depStoreSatisfied(const DynInst *d) const
-{
-    if (d->depStoreSeq == 0)
-        return true;
-    DynInst *s = findInWindow(d->depStoreSeq);
-    if (!s)
-        return true;    // store committed or squashed
-    return s->memDone;
 }
 
 void
@@ -823,8 +815,8 @@ Core::executeStore(DynInst *d)
     if (viol) {
         ++stats_.ordViolations;
         ss.recordViolation(viol->pc, d->pc);
-        if (ffShadow)
-            ffRecordViolation(viol->pc, d->pc);
+        if (shadow_)
+            shadow_->recordViolation(viol->pc, d->pc);
         squashFrom(viol->seq);
     }
 }
@@ -1229,159 +1221,41 @@ Core::warmControl(const Instruction &in, const ExecRecord &rec)
 }
 
 void
-Core::fastForward(std::uint64_t workTarget, bool warm, double ipcEst)
+Core::fastForward(std::uint64_t workTarget, double ipcEst)
 {
     if (!pipelineEmpty())
         panic("fastForward with a non-empty pipeline");
+    if (!(ipcEst > 0))
+        panic("fastForward needs a positive IPC estimate");
     ExecRecord rec;
-    double cycleAccum = 0;
     Cycle base = now;
     std::uint64_t work0 = emu.dynWork();
     while (!emu.halted() && emu.dynWork() < workTarget) {
         pollCancel();
         if (!emu.step(&rec))
             break;
-        if (ipcEst > 0) {
-            cycleAccum = static_cast<double>(emu.dynWork() - work0) /
-                ipcEst;
-            now = base + static_cast<Cycle>(cycleAccum);
-        }
-        if (!warm || !rec.insn)
+        now = base + static_cast<Cycle>(
+                         static_cast<double>(emu.dynWork() - work0) /
+                         ipcEst);
+        if (!rec.insn)
             continue;
         Addr line = lineOf(rec.pc);
         if (line != lastFetchLine) {
-            if (ipcEst > 0)
-                mem.instAccess(rec.pc, now);
-            else
-                mem.warmInst(rec.pc);
+            mem.instAccess(rec.pc, now);
             lastFetchLine = line;
         }
         if (rec.padNop)
             continue;
         if (rec.isMem) {
-            if (ipcEst > 0)
-                mem.dataAccess(rec.memAddr, rec.memIsStore, now);
-            else
-                mem.warmData(rec.memAddr, rec.memIsStore);
-            if (ffShadow && !ffViolPairs.empty()) {
-                ffAliasScan(rec);
-                // Store-set shadow: re-merge every *active* pair
-                // (idempotent once the full component is in one
-                // set). All of the load's active partners merge
-                // together so the component — not just one edge of
-                // it — survives fast-forward gaps and table clears.
-                if (!rec.memIsStore) {
-                    auto it = ffViolPairs.find(rec.pc);
-                    if (it != ffViolPairs.end()) {
-                        for (const FfPartner &p : it->second) {
-                            if (p.active)
-                                ss.recordViolation(it->first,
-                                                   p.storePc);
-                        }
-                    }
-                }
-            }
+            mem.dataAccess(rec.memAddr, rec.memIsStore, now);
+            if (shadow_)
+                shadow_->warm(rec, emu.dynWork(), ss);
         }
         if (rec.insn->isControl() || rec.insn->isHandle())
             warmControl(*rec.insn, rec);
     }
     stats_.cycles = now;        // keep interval deltas pure-detailed
     lastFetchLine = ~Addr(0);   // fetch restarts on a cold line tracker
-}
-
-namespace {
-
-/** Generation hash of a violation-pair seed set: runs seeded with
- *  different sets follow different warm-state trajectories, so the
- *  hash namespaces their store records apart. A null or empty seed
- *  hashes to the FNV basis (the discovery generation). */
-std::uint64_t
-violSeedHash(const std::vector<std::pair<Addr, Addr>> *seed)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    if (!seed)
-        return h;
-    for (const auto &[loadPc, storePc] : *seed) {
-        std::uint8_t b[16];
-        for (int i = 0; i < 8; ++i) {
-            b[i] = static_cast<std::uint8_t>(loadPc >> (8 * i));
-            b[8 + i] = static_cast<std::uint8_t>(storePc >> (8 * i));
-        }
-        h = fnv1a64(b, sizeof b, h);
-    }
-    return h;
-}
-
-} // namespace
-
-std::vector<std::pair<Addr, Addr>>
-Core::violPairsSorted() const
-{
-    std::vector<std::pair<Addr, Addr>> v;
-    // mglint:allow(unordered-iter): edges copied then sorted below
-    for (const auto &[loadPc, partners] : ffViolPairs) {
-        for (const FfPartner &p : partners)
-            v.emplace_back(loadPc, p.storePc);
-    }
-    std::sort(v.begin(), v.end());
-    return v;
-}
-
-void
-Core::ffRecordViolation(Addr loadPc, Addr storePc)
-{
-    std::vector<FfPartner> &partners = ffViolPairs[loadPc];
-    for (FfPartner &p : partners) {
-        if (p.storePc == storePc) {
-            if (!p.active) {
-                p.active = true;
-                --ffDormantEdges;
-            }
-            return;
-        }
-    }
-    partners.push_back({storePc, true});
-}
-
-void
-Core::ffAliasScan(const ExecRecord &rec)
-{
-    if (ffDormantEdges == 0 || !rec.isMem)
-        return;
-    // Word granularity: the LSQ's violation check is byte-overlap,
-    // but partner pairs that alias at all touch the same words in
-    // practice, and word keys keep the map small.
-    Addr lo = rec.memAddr & ~Addr(7);
-    Addr hi = (rec.memAddr + static_cast<Addr>(
-                   rec.memBytes > 0 ? rec.memBytes - 1 : 0)) &
-        ~Addr(7);
-    if (rec.memIsStore) {
-        if (!ffPartnerStores.count(rec.pc))
-            return;
-        for (Addr wd = lo;; wd += 8) {
-            ffAliasLast[wd] = {rec.pc, emu.dynWork()};
-            if (wd == hi)
-                break;
-        }
-        return;
-    }
-    auto it = ffViolPairs.find(rec.pc);
-    if (it == ffViolPairs.end())
-        return;
-    for (Addr wd = lo;; wd += 8) {
-        auto a = ffAliasLast.find(wd);
-        if (a != ffAliasLast.end() &&
-            emu.dynWork() - a->second.second <= ffAliasSpan) {
-            for (FfPartner &p : it->second) {
-                if (!p.active && p.storePc == a->second.first) {
-                    p.active = true;
-                    --ffDormantEdges;
-                }
-            }
-        }
-        if (wd == hi)
-            break;
-    }
 }
 
 /** Layout version of serializeWarm records (independent of the store's
@@ -1398,34 +1272,10 @@ Core::serializeWarm(SerialWriter &w) const
     mem.exportState().serialize(w);
     bp.exportState().serialize(w);
     ss.exportState().serialize(w);
-    // Shadow state of the violation-pair seeding: the graph edges
-    // (with activation bits) and the RAW-scan alias map. A restored
-    // record skips the fast-forward gap that built these, so they
-    // ride in the record; canonical sorted order keeps the bytes —
-    // and the store's checksums — session-independent.
-    std::vector<std::tuple<Addr, Addr, std::uint8_t>> edges;
-    // mglint:allow(unordered-iter): edges copied then sorted below
-    for (const auto &[loadPc, partners] : ffViolPairs) {
-        for (const FfPartner &p : partners)
-            edges.emplace_back(loadPc, p.storePc, p.active ? 1 : 0);
-    }
-    std::sort(edges.begin(), edges.end());
-    w.u64(edges.size());
-    for (const auto &[l, s, a] : edges) {
-        w.u64(l);
-        w.u64(s);
-        w.u8(a);
-    }
-    std::vector<std::pair<Addr, std::pair<Addr, std::uint64_t>>> alias(
-        ffAliasLast.begin(),   // mglint:allow(unordered-iter): sorted below
-        ffAliasLast.end());
-    std::sort(alias.begin(), alias.end());
-    w.u64(alias.size());
-    for (const auto &[wd, last] : alias) {
-        w.u64(wd);
-        w.u64(last.first);
-        w.u64(last.second);
-    }
+    if (shadow_)
+        shadow_->serialize(w);
+    else
+        ViolationShadow().serialize(w);
 }
 
 bool
@@ -1451,33 +1301,8 @@ Core::tryRestoreWarm(const std::vector<std::uint8_t> &bytes)
     if (!hs.deserialize(r) || !bs.deserialize(r) ||
         !sss.deserialize(r) || !r.ok())
         return false;
-    std::uint64_t nEdges = r.u64();
-    if (nEdges > r.remaining() / 17)
-        return false;
-    std::unordered_map<Addr, std::vector<FfPartner>> edgesByLoad;
-    std::uint64_t dormant = 0;
-    std::unordered_set<Addr> partnerStores;
-    for (std::uint64_t i = 0; i < nEdges; ++i) {
-        Addr l = r.u64();
-        Addr s = r.u64();
-        std::uint8_t a = r.u8();
-        edgesByLoad[l].push_back({s, a != 0});
-        if (a == 0) {
-            ++dormant;
-            partnerStores.insert(s);
-        }
-    }
-    std::uint64_t nAlias = r.u64();
-    if (nAlias > r.remaining() / 24)
-        return false;
-    std::unordered_map<Addr, std::pair<Addr, std::uint64_t>> aliasByWord;
-    for (std::uint64_t i = 0; i < nAlias; ++i) {
-        Addr wd = r.u64();
-        Addr spc = r.u64();
-        std::uint64_t pos = r.u64();
-        aliasByWord[wd] = {spc, pos};
-    }
-    if (!r.ok())
+    ViolationShadow shadow;
+    if (!shadow.deserialize(r))
         return false;
     if (!emu.checkpointCompatible(ck) || !mem.stateCompatible(hs) ||
         !bp.stateCompatible(bs) || !ss.stateCompatible(sss))
@@ -1493,458 +1318,11 @@ Core::tryRestoreWarm(const std::vector<std::uint8_t> &bytes)
     mem.adoptState(hs);
     bp.adoptState(bs);
     ss.adoptState(sss);
-    ffViolPairs = std::move(edgesByLoad);
-    ffPartnerStores = std::move(partnerStores);
-    ffAliasLast = std::move(aliasByWord);
-    ffDormantEdges = dormant;
+    if (shadow_)
+        *shadow_ = std::move(shadow);
+    stats_.cycles = now;        // as after fastForward
     lastFetchLine = ~Addr(0);
     return true;
-}
-
-SampledStats
-Core::runSampled(const SamplingParams &sp, const SampleSummary &sum,
-                 std::uint64_t maxWork, WarmStoreIf *warmStore,
-                 const std::vector<std::pair<Addr, Addr>> *seedViol)
-{
-    stats_ = CoreStats();
-    ffShadow = sp.ssShadow;
-    ffViolPairs.clear();
-    ffPartnerStores.clear();
-    ffAliasLast.clear();
-    ffDormantEdges = 0;
-    if (seedViol) {
-        // seedViol is violPairsSorted() output: distinct pairs in
-        // (loadPc, storePc) order, so per-load partner lists rebuild
-        // identically in every session (replay order is part of the
-        // cold-vs-warm determinism contract). Seeded edges start
-        // dormant: each waits for this run's functional stream to
-        // show its first violable RAW (ffAliasScan) so the shadow
-        // never serializes program phases before the dependence even
-        // exists.
-        for (const auto &[loadPc, storePc] : *seedViol) {
-            ffViolPairs[loadPc].push_back({storePc, false});
-            ffPartnerStores.insert(storePc);
-            ++ffDormantEdges;
-        }
-    }
-    const std::uint64_t seedHash = violSeedHash(seedViol);
-    std::vector<std::uint8_t> wsBytes;
-    SampledStats out;
-    out.totalWork = std::min(sum.totalWork, maxWork);
-
-    // Short programs degrade to exact full simulation. Below ~33
-    // sampling periods the fixed costs (prefix, per-chunk warmups,
-    // two samples per cluster) already approach full coverage, so
-    // sampling buys under 2x wall-clock while paying 3-8% IPC error
-    // (too few occurrences per cluster for the variance to average
-    // out — the measured ref-tier tail on drr/bitcount/rgb2gray) and,
-    // on kernels whose speculation state trains over the whole run,
-    // far worse (reed@ref/int-mem measured 52% when sampled: its
-    // store-set serialization never finishes being discovered).
-    // Such runs are cheap to simulate exactly; the threshold is
-    // period-relative so genuinely long runs (the M-scale tier is
-    // ~90 periods at defaults) never degrade.
-    bool tooShort = sum.totalWork > 0 &&
-        out.totalWork < sp.coldPrefixWork() + 32 * sp.period;
-    if (sp.degenerate() || tooShort) {
-        // No room for fast-forward: identical to a full run.
-        runDetailedUntil(maxWork);
-        out.est = stats_;
-        out.exact = true;
-        out.totalWork = stats_.committedWork;
-        out.measuredWork = stats_.committedWork;
-        out.measuredCycles = stats_.cycles;
-        out.detailedWork = stats_.committedWork;
-        out.intervals = 1;
-        out.ipcHat = stats_.ipc();
-        return out;
-    }
-
-    // Exactly-measured cold prefix: the startup transient (cold
-    // caches, bus backlog, queue fill) is a large, unrepresentative
-    // fraction of a short run; extrapolating any sample of it is the
-    // dominant error source, so it never extrapolates.
-    std::uint64_t prefixWork = std::min(sp.coldPrefixWork(),
-                                        out.totalWork);
-    runDetailedUntil(prefixWork);
-    drainPipeline();
-    CoreStats cold = stats_;
-    out.prefixWork = cold.committedWork;
-
-    // Post-prefix plan from the phase clustering: always measure the
-    // first two chunks of every cluster, then adaptively keep
-    // measuring later occurrences of any cluster whose error
-    // contribution still exceeds the target. Weight by cluster work.
-    struct ClusterAgg
-    {
-        CoreStats meas;                 ///< summed measurement deltas
-        std::uint64_t work = 0;         ///< cluster work to represent
-        std::vector<double> ipcs;
-
-        double
-        mean() const
-        {
-            double s = 0;
-            for (double x : ipcs)
-                s += x;
-            return ipcs.empty() ? 0 : s / static_cast<double>(
-                                              ipcs.size());
-        }
-
-        /** Relative 95% CI of the cluster's mean interval IPC. */
-        double
-        relCi() const
-        {
-            if (ipcs.size() < 2)
-                return 0;
-            double m = mean();
-            if (m <= 0)
-                return 0;
-            double var = 0;
-            for (double x : ipcs)
-                var += (x - m) * (x - m);
-            var /= static_cast<double>(ipcs.size() - 1);
-            return 1.96 *
-                std::sqrt(var / static_cast<double>(ipcs.size())) / m;
-        }
-    };
-    std::vector<ClusterAgg> agg(sum.clusters);
-    std::vector<std::vector<const SampleChunk *>> occ(sum.clusters);
-    std::uint64_t postWork = 0;
-    for (const SampleChunk &ch : sum.chunks) {
-        // Weigh only the work the exact prefix did not already cover:
-        // the drain overshoots prefixWork by up to a windowful, and
-        // that overshoot is in `cold`, so extrapolating it again would
-        // double-count it.
-        std::uint64_t effStart = std::max(ch.start, cold.committedWork);
-        std::uint64_t end = ch.start +
-            std::min(ch.work, out.totalWork > ch.start
-                                  ? out.totalWork - ch.start : 0);
-        if (end <= effStart)
-            continue;
-        agg[ch.cluster].work += end - effStart;
-        postWork += end - effStart;
-        if (ch.start >= cold.committedWork &&
-            ch.start + sp.interval <= out.totalWork)
-            occ[ch.cluster].push_back(&ch);
-    }
-    // Base plan: quantile-spread occurrences of every cluster, so a
-    // performance trend inside a code-identical cluster (queue
-    // pressure building up, predictors still training) is sampled
-    // across its whole extent, not just at its start. Membership is
-    // marked per chunk index (chunks live contiguously in sum.chunks).
-    std::vector<std::uint8_t> baseMark(sum.chunks.size(), 0);
-    auto chunkIdxOf = [&](const SampleChunk *c) {
-        return static_cast<std::size_t>(c - sum.chunks.data());
-    };
-    // Occurrence rank of every chunk within its cluster, for the
-    // stratified refinement below.
-    std::vector<std::size_t> occIdxOf(sum.chunks.size(), 0);
-    for (const auto &o : occ) {
-        for (std::size_t i = 0; i < o.size(); ++i)
-            occIdxOf[chunkIdxOf(o[i])] = i;
-        std::size_t m = o.size();
-        if (m <= 3) {
-            for (const SampleChunk *c : o)
-                baseMark[chunkIdxOf(c)] = 1;
-        } else {
-            for (std::size_t q : {std::size_t(0), m / 2, m - 1})
-                baseMark[chunkIdxOf(o[q])] = 1;
-        }
-    }
-    constexpr std::size_t maxPerCluster = 24;
-    // Stratified refinement: the oracle only moves forward, so
-    // CI-driven extra samples taken in stream order would all land
-    // right after the prefix — and a long-lived cluster with a
-    // performance trend (predictors and caches still training over
-    // hundreds of chunks, the rtr signature) would be estimated from
-    // its transient head alone. Spacing eligible occurrences a
-    // cluster-extent/maxPerCluster stride apart spreads the same
-    // sample budget across the whole extent. Clusters with fewer
-    // occurrences than the cap get stride 1: short (tier-1) runs keep
-    // the previous plan.
-    std::vector<std::size_t> stride(sum.clusters, 1);
-    std::vector<std::size_t> nextEligible(sum.clusters, 0);
-    for (std::uint32_t c = 0; c < sum.clusters; ++c) {
-        if (occ[c].size() > maxPerCluster)
-            stride[c] = occ[c].size() / maxPerCluster;
-    }
-    std::uint64_t dutyBudget = static_cast<std::uint64_t>(
-        sp.maxDuty * static_cast<double>(out.totalWork));
-    auto shouldMeasure = [&](const SampleChunk *c, bool *wholeChunk) {
-        const ClusterAgg &a = agg[c->cluster];
-        std::size_t oi = occIdxOf[chunkIdxOf(c)];
-        auto take = [&](bool yes) {
-            if (yes) {
-                nextEligible[c->cluster] =
-                    std::max(nextEligible[c->cluster],
-                             oi + stride[c->cluster]);
-            }
-            return yes;
-        };
-        if (a.ipcs.empty())
-            return take(true);   // every cluster is covered once
-        double share = static_cast<double>(a.work) /
-            static_cast<double>(postWork ? postWork : 1);
-        if (stats_.committedWork >= dutyBudget) {
-            // Over budget, only gross non-convergence keeps sampling:
-            // a cheap estimate is worthless if its bound is huge. Such
-            // a cluster gets the whole chunk, not another floored
-            // span — its variance already survived the normal
-            // refinement budget, so the last samples must average the
-            // chunk's full intra-phase swing instead of re-reading a
-            // fraction of it.
-            bool yes = sp.targetCi > 0 &&
-                a.ipcs.size() < maxPerCluster &&
-                oi >= nextEligible[c->cluster] &&
-                a.relCi() * share > 5 * sp.targetCi;
-            *wholeChunk = yes;
-            return take(yes);
-        }
-        if (baseMark[chunkIdxOf(c)])
-            return take(true);
-        if (oi < nextEligible[c->cluster])
-            return false;
-        if (a.ipcs.size() < 2)
-            return take(true);
-        if (sp.targetCi <= 0 || a.ipcs.size() >= maxPerCluster)
-            return false;
-        // Extent-coverage guard (salted placement only): a tiny CI
-        // computed from samples confined to the head of a long
-        // cluster extent is not evidence about its tail. reed@long
-        // turns on store-set serialization mid-run; when the salted
-        // offsets happen to dodge the head's hiccup intervals, the
-        // first two samples agree to 0.4%, the CI gate stops
-        // refinement at the head, and the quantile samples that DO
-        // land past the onset read an untrained (rosy) pipeline
-        // because the onset is discovered at detailed-work rate. The
-        // grid-aligned plan only escaped by luck — its head samples
-        // disagreed enough to keep the stride march going. So under a
-        // salt, keep marching until the measured occurrences span
-        // half the extent; only then is the CI an honest summary of
-        // the cluster.
-        if (sp.phaseSalt && stride[c->cluster] > 1 &&
-            nextEligible[c->cluster] * 2 < occ[c->cluster].size())
-            return take(true);
-        return take(a.relCi() * share > sp.targetCi / 2);
-    };
-
-    // Settled-measurement sizing (see the measurement loop): the
-    // first interval-worth of work after warmup is discarded as
-    // settling and the measurement averages the following
-    // sub-intervals. The measured span is floored at ~6k work
-    // regardless of the interval size: sub-6k contiguous windows
-    // alias against multi-thousand-work rate oscillations and read a
-    // systematic 2-4% bias on several M-scale kernels (adpcm.dec,
-    // dijkstra, g721.enc — measured in docs/EXPERIMENTS.md) that no
-    // amount of warmup or settling removes, while ~6k windows average
-    // a whole oscillation.
-    constexpr std::uint64_t minMeasuredSpan = 6000;
-    const int measureSubs = static_cast<int>(
-        std::max<std::uint64_t>(
-            3, (minMeasuredSpan + sp.interval - 1) / sp.interval));
-
-    double lastIpc = cold.ipc();   // virtual-clock fast-forward rate
-    for (const SampleChunk &chunk : sum.chunks) {
-        const SampleChunk *ch = &chunk;
-        if (ch->start < cold.committedWork ||
-            ch->start + sp.interval > out.totalWork)
-            continue;
-        if (emu.halted())
-            break;
-        // Chunks the prefix/drain (or a previous measurement's settle
-        // span) already covered are discarded before the plan is
-        // consulted: shouldMeasure ratchets per-cluster eligibility,
-        // and a chunk that cannot be measured must not burn a stride
-        // of its cluster's refinement budget.
-        std::uint64_t p = emu.dynWork();
-        if (ch->start <= p)
-            continue;
-        bool wholeChunk = false;
-        if (!shouldMeasure(ch, &wholeChunk))
-            continue;
-        // Measurement placement and extent inside the chunk. A
-        // whole-chunk measurement sizes its sub-intervals to cover the
-        // chunk. Otherwise, a phase-salted run starts the measured
-        // span at a deterministic per-chunk offset instead of always
-        // at the chunk start: period-aligned placement samples one
-        // fixed phase of any rate oscillation commensurate with the
-        // period (the huge-tier jpeg.dct alias). Salt zero keeps the
-        // legacy grid-aligned placement bit-exactly.
-        //
-        // The salt dithers what is *measured*, not what is *executed*:
-        // detailed (unmeasured) execution still begins at the chunk
-        // start (see warmStart below), so the offset gap runs through
-        // the cycle-accurate core instead of being fast-forwarded.
-        // One-shot microarchitectural events discovered at
-        // detailed-work rate — reed@long's store-set serialization
-        // onset is a single violation that flips the rest of the run
-        // from IPC 4.9 to 2.65 — land inside the grid span, and a
-        // salt that shifted the detailed region past one would
-        // silently un-discover it (measured: 72% IPC error at a 1%
-        // CI). Keeping the detailed region a superset of the legacy
-        // grid span makes event discovery salt-independent; only the
-        // phase of the measured window moves.
-        int subs = measureSubs;
-        std::uint64_t off = 0;
-        if (wholeChunk) {
-            std::uint64_t ivals = ch->work / sp.interval;
-            if (ivals > static_cast<std::uint64_t>(subs) + 1)
-                subs = static_cast<int>(ivals - 1);
-        } else if (sp.phaseSalt) {
-            std::uint64_t span =
-                (static_cast<std::uint64_t>(measureSubs) + 1) *
-                sp.interval;
-            std::uint64_t maxO = ch->work > span ? ch->work - span : 0;
-            if (maxO) {
-                std::uint64_t h = fnv1a64(&ch->start, sizeof(ch->start),
-                                          sp.phaseSalt);
-                off = h % (maxO + 1);
-            }
-        }
-        const std::uint64_t mstart = ch->start + off;
-        // Fast-forward to the measurement: functionally warm through
-        // every skipped instruction, so cumulative cache/predictor
-        // state survives (footprint-bound kernels). Warmup is
-        // anchored at the chunk start, not the salted measurement
-        // start: the offset gap is covered by detailed execution (see
-        // above), and warm-store records — keyed and serialized at
-        // ch->start − warmup — stay valid for every salt.
-        std::uint64_t warmStart = ch->start > sp.warmup
-            ? ch->start - sp.warmup : 0;
-        if (warmStart > p) {
-            // Restore-warm fast path: a stored record at this chunk's
-            // start (same binary, config, position, and seed
-            // generation) is bit-for-bit the state warming through
-            // this gap would compute — restore it and skip the
-            // functional re-execution entirely. Misses (and corrupt
-            // or incompatible records, rejected by tryRestoreWarm)
-            // fall through to warming and write back the result.
-            if (warmStore &&
-                warmStore->loadWarm(ch->start, seedHash, wsBytes) &&
-                tryRestoreWarm(wsBytes)) {
-                ++out.ckptRestores;
-            } else {
-                fastForward(warmStart, sp.ffWarm > 0, lastIpc);
-                if (warmStore && !emu.halted()) {
-                    SerialWriter w;
-                    serializeWarm(w);
-                    warmStore->storeWarm(ch->start, seedHash, w.data());
-                    ++out.ckptWritebacks;
-                }
-            }
-            stats_.cycles = now;   // virtual advances stay unmeasured
-        }
-        out.ffWork = emu.dynWork() - stats_.committedWork;
-        if (emu.halted())
-            break;
-
-        // Detailed (unmeasured) warmup up to the measurement start:
-        // refills the pipeline and restores queue back-pressure
-        // equilibrium.
-        std::uint64_t q = emu.dynWork();
-        if (mstart > q)
-            runDetailedUntil(stats_.committedWork + (mstart - q));
-
-        // Settled measurement: a drained-then-refilled pipeline can run
-        // well above its congested steady state for a while (the
-        // window fills slowly when the free register list is the
-        // binding resource), so the first interval-worth of work after
-        // warmup is discarded as settling and the measurement averages
-        // the following sub-intervals (sized above) — no convergence
-        // test, because stopping "when two subs agree" preferentially
-        // stops on plateaus of oscillating kernels and biases the
-        // sample.
-        // Sub-interval targets never cross the work cap: a capped run
-        // must estimate the capped run, not work beyond it.
-        auto boundedTarget = [&]() {
-            std::uint64_t cap = out.totalWork - out.ffWork;
-            return std::min(stats_.committedWork + sp.interval, cap);
-        };
-        runDetailedUntil(boundedTarget());
-        CoreStats delta;
-        for (int s = 0; s < subs && !oracleDone; ++s) {
-            if (stats_.committedWork >= out.totalWork - out.ffWork)
-                break;
-            CoreStats b = stats_;
-            runDetailedUntil(boundedTarget());
-            delta += stats_ - b;
-        }
-        if (delta.committedWork && delta.cycles) {
-            ClusterAgg &a = agg[ch->cluster];
-            a.meas += delta;
-            lastIpc = static_cast<double>(delta.committedWork) /
-                static_cast<double>(delta.cycles);
-            a.ipcs.push_back(lastIpc);
-        }
-        drainPipeline();
-    }
-    // Exact prefix plus per-cluster ratio extrapolation. Clusters that
-    // went unmeasured (halt mid-plan, work cap) fall back to the
-    // pooled rates of everything that was measured.
-    CoreStats pooled;
-    std::uint32_t intervals = 0;
-    for (const ClusterAgg &a : agg) {
-        pooled += a.meas;
-        intervals += static_cast<std::uint32_t>(a.ipcs.size());
-    }
-    out.measuredWork = cold.committedWork + pooled.committedWork;
-    out.measuredCycles = cold.cycles + pooled.cycles;
-    out.detailedWork = stats_.committedWork;
-    out.intervals = intervals + 1;
-
-    if (out.totalWork <= cold.committedWork) {
-        out.est = cold;           // the prefix covered the whole run
-        out.exact = true;
-        out.ipcHat = out.est.ipc();
-        return out;
-    }
-    if (pooled.committedWork == 0 || pooled.cycles == 0) {
-        // Nothing sampled beyond the prefix: extrapolate from it.
-        out.est = cold.scaled(static_cast<double>(out.totalWork) /
-                              static_cast<double>(cold.committedWork));
-        out.est.committedWork = out.totalWork;
-        out.ipcHat = out.est.ipc();
-        return out;
-    }
-
-    out.est = cold;
-    std::uint64_t fallbackWork = 0;
-    for (const ClusterAgg &a : agg) {
-        if (!a.work)
-            continue;
-        if (!a.meas.committedWork) {
-            fallbackWork += a.work;
-            continue;
-        }
-        out.est += a.meas.scaled(static_cast<double>(a.work) /
-                                 static_cast<double>(
-                                     a.meas.committedWork));
-    }
-    if (fallbackWork)
-        out.est += pooled.scaled(static_cast<double>(fallbackWork) /
-                                 static_cast<double>(
-                                     pooled.committedWork));
-    out.est.committedWork = out.totalWork;   // known, not estimated
-    out.ipcHat = out.est.ipc();
-
-    // Error bound: within-cluster spread of the repeated measurements,
-    // weighted by each cluster's share of the estimated cycles (the
-    // exact prefix contributes none).
-    double var = 0;
-    double estCycles =
-        static_cast<double>(out.est.cycles ? out.est.cycles : 1);
-    for (const ClusterAgg &a : agg) {
-        if (a.ipcs.size() < 2 || !a.meas.committedWork)
-            continue;
-        double rel = a.relCi();
-        double share = static_cast<double>(a.work) /
-            static_cast<double>(a.meas.committedWork) *
-            static_cast<double>(a.meas.cycles) / estCycles;
-        var += (rel * share) * (rel * share);
-    }
-    out.ipcRelCi95 = std::sqrt(var);
-    return out;
 }
 
 } // namespace mg

@@ -24,9 +24,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 #include "emu/emulator.hh"
@@ -47,6 +45,8 @@
 #include "uarch/trace.hh"
 
 namespace mg {
+
+class ViolationShadow;
 
 /** Machine configuration (defaults = the paper's baseline). */
 struct CoreConfig
@@ -227,6 +227,7 @@ class Core
      * @param cfg  machine configuration
      */
     Core(const Program &prog, const MgTable *mgt, const CoreConfig &cfg);
+    ~Core();
 
     /**
      * Run until the oracle halts (and the pipeline drains) or
@@ -235,63 +236,65 @@ class Core
     CoreStats run(std::uint64_t maxWork = ~0ull);
 
     /**
-     * Sampled run (see uarch/sampling.hh for the interval scheme).
-     * @p sum supplies the extrapolation denominator and the phase
-     * clustering that places measurements. Degenerate parameters
-     * reproduce run() bit-exactly.
+     * Sampled run (see uarch/sampling.hh for the interval scheme),
+     * the sampler's one entry point: defined in uarch/sampled_run.cpp,
+     * it attaches a fresh ViolationShadow and steers this core through
+     * runDetailedUntil, drainPipeline, fastForward and the warm-record
+     * pair below. @p sum supplies the extrapolation denominator and
+     * the phase clustering that places measurements. Degenerate
+     * parameters reproduce run() bit-exactly.
      *
-     * @p warmStore enables the restore-warm
-     * fast-forward path: each gap first tries to restore the stored
-     * warm state for the coming chunk, falling back to functional
-     * warming — and writing the result back — on a miss. Because a
-     * restored record is exactly the state the writing run computed
-     * at that position, a run served from the store is bit-identical
-     * to the run that populated it.
-     *
-     * @p seedViol pre-seeds the store-set shadow with known
-     * violating (load PC, store PC) pairs (sorted), so dependences a
-     * previous discovery run learned are trained during fast-forward
-     * instead of being duty-limited to detailed intervals. Each
-     * seeded pair lies dormant until the functional stream first
-     * shows it violable (a store->load RAW within a window-sized
-     * span), so training starts where the dependence starts. The
-     * seed set keys the store's record generation.
+     * @p warmStore serves fast-forward gaps from stored warm records
+     * (see WarmStoreIf); a run served from the store is bit-identical
+     * to the run that populated it. @p seedViol pre-seeds the shadow
+     * with the sorted violating (load PC, store PC) pairs a discovery
+     * run learned; the seed set keys the store's record generation.
      */
     SampledStats runSampled(
         const SamplingParams &sp, const SampleSummary &sum,
         std::uint64_t maxWork = ~0ull, WarmStoreIf *warmStore = nullptr,
         const std::vector<std::pair<Addr, Addr>> *seedViol = nullptr);
 
-    /** Violating (load PC, store PC) pairs the last sampled run's
-     *  detailed intervals observed, sorted (the discovery-pass output
-     *  that seeds final passes and warm sessions). */
-    std::vector<std::pair<Addr, Addr>> violPairsSorted() const;
+    /** The violation shadow the last runSampled attached (null
+     *  before any; run() never attaches one). */
+    const ViolationShadow *shadow() const { return shadow_.get(); }
+
+    /** Step the pipeline until @p targetWork constituent instructions
+     *  have committed (counting from the last stats reset) or the
+     *  program has halted and drained. */
+    void runDetailedUntil(std::uint64_t targetWork);
+
+    /** Retire everything in flight without admitting new oracle
+     *  slots, leaving the pipeline empty at a committed boundary. */
+    void drainPipeline();
 
     /**
      * Functionally execute the oracle until its constituent work
      * reaches @p workTarget (or it halts). The pipeline must be empty.
-     * With @p warm, fetched lines touch the I-cache, memory accesses
-     * touch the D-cache hierarchy, and control ops train the branch
-     * predictor — functional warming. With @p ipcEst > 0 the core
-     * clock advances virtually at that rate and warming runs through
-     * the *timed* hierarchy paths, so bus queueing (the dominant
-     * cold-phase effect) keeps evolving across the gap; with 0 the
-     * clock freezes and warming is tag-only. Contributes nothing to
-     * stats() either way.
+     * Fetched lines touch the I-cache, memory accesses touch the
+     * D-cache hierarchy, and control ops train the branch predictor —
+     * functional warming — while the core clock advances virtually at
+     * @p ipcEst (> 0) work per cycle, so warming runs through the
+     * *timed* hierarchy paths and bus queueing (the dominant
+     * cold-phase effect) keeps evolving across the gap. An attached
+     * shadow re-trains the store sets (ViolationShadow::warm).
+     * Contributes nothing to stats() but the clock.
      */
-    void fastForward(std::uint64_t workTarget, bool warm,
-                     double ipcEst = 0);
+    void fastForward(std::uint64_t workTarget, double ipcEst);
 
     /** Serialize the complete warm state at a drained-pipeline
      *  fast-forward boundary (the warm-checkpoint store's record):
-     *  clocks, the functional oracle, and the trained
-     *  hierarchy/predictor/store-set contents. */
+     *  clocks, the functional oracle, the trained
+     *  hierarchy/predictor/store-set contents, and the shadow's
+     *  section (empty without a shadow). */
     void serializeWarm(SerialWriter &w) const;
 
     /** Parse + validate a serializeWarm record and, only if every
      *  piece is well-formed and compatible with this configuration,
-     *  atomically adopt it (never partially mutates on failure). The
-     *  pipeline must be empty. */
+     *  atomically adopt it (never partially mutates on failure; the
+     *  shadow section goes to the attached shadow, if any). The
+     *  pipeline must be empty. Like fastForward, a restore leaves
+     *  stats() untouched but the clock. */
     bool tryRestoreWarm(const std::vector<std::uint8_t> &bytes);
 
     /** Access the oracle (for architectural state checks in tests). */
@@ -411,59 +414,8 @@ class Core
     // compacted in doMemAndResolve.
     std::vector<std::pair<DynInst *, std::uint64_t>> pendingMem;
 
-    // Functional store-set shadow (sampled runs, SamplingParams::
-    // ssShadow). Which store->load pairs actually violate is a timing
-    // property a functional pass cannot predict (most same-address
-    // pairs issue in order and never violate, and pairing them anyway
-    // merges unrelated store PCs into giant sets that serialize the
-    // machine), so the shadow only *re-trains* exact pairs this run's
-    // detailed intervals have already seen violate: during warm
-    // fast-forward, a load whose PC is a known violator re-merges its
-    // recorded store partner, carrying the learned dependence across
-    // fast-forward gaps and the predictor's periodic table clears.
-    /** One edge of the violation graph: a store PC some load has
-     *  violated against. Keeping the full partner set (not just the
-     *  latest partner) matters: the predictor's trained behavior is
-     *  the *connected components* of the violation graph, and
-     *  replaying all edges reconstructs the same components in any
-     *  order — a last-partner-only map loses edges and
-     *  under-serializes. Edges recorded by this run's own detailed
-     *  intervals are active immediately; *seeded* edges (prior-run
-     *  discoveries) start dormant and activate only once the
-     *  functional stream shows the pair could violate here — the
-     *  first store->load RAW through memory within a window-sized
-     *  span. Activating on functional evidence instead of at work 0
-     *  keeps a seeded run from serializing program phases the
-     *  discovery run measured as violation-free (the dependence may
-     *  only exist in a later phase), and the evidence is a pure
-     *  function of the instruction stream, so cold and warm sessions
-     *  activate at identical positions. */
-    struct FfPartner
-    {
-        Addr storePc = 0;
-        bool active = true;
-    };
-    std::unordered_map<Addr, std::vector<FfPartner>> ffViolPairs;
-    /** Store PCs appearing in some dormant seeded edge (scan gate). */
-    std::unordered_set<Addr> ffPartnerStores;
-    /** 8-byte-word -> (partner store PC, work position) of the most
-     *  recent partner store touching it; the load side of the RAW
-     *  scan reads this. Serialized with warm records: entries written
-     *  inside a fast-forward gap must survive a restore that skips
-     *  the gap. */
-    std::unordered_map<Addr, std::pair<Addr, std::uint64_t>> ffAliasLast;
-    std::uint64_t ffDormantEdges = 0;
-    /** RAW span (work units) within which a seeded pair counts as
-     *  violable: both ends must plausibly coexist in the instruction
-     *  window, so a couple of ROB depths. */
-    static constexpr std::uint64_t ffAliasSpan = 256;
-    /** Feed one functional record (any mode: fast-forward or the
-     *  detailed oracle) to the seeded-edge RAW scan. */
-    void ffAliasScan(const ExecRecord &rec);
-    /** Record a detailed-interval violation edge (new edges active;
-     *  a dormant seeded edge the machine actually violated wakes). */
-    void ffRecordViolation(Addr loadPc, Addr storePc);
-    bool ffShadow = false;      ///< set by runSampled from ssShadow
+    // Store-set violation shadow of a sampled run (null = none).
+    std::unique_ptr<ViolationShadow> shadow_;
 
     // --- pipeline stages (called youngest-stage-last each cycle) ---
     void doMemAndResolve();
@@ -474,8 +426,6 @@ class Core
 
     // --- run-loop plumbing ---
     void stepCycle();
-    void runDetailedUntil(std::uint64_t targetWork);
-    void drainPipeline();
     bool pipelineEmpty() const;
     void warmControl(const Instruction &in, const ExecRecord &rec);
 
@@ -503,7 +453,6 @@ class Core
     void executeStore(DynInst *d);
     void squashFrom(std::uint64_t fromSeq);
     void retire(DynInst *d);
-    bool depStoreSatisfied(const DynInst *d) const;
     Addr lineOf(Addr pc) const;
 };
 

@@ -222,7 +222,6 @@ class FuPool
     }
 
     const FuPoolConfig &config() const { return cfg; }
-    std::vector<AluPipeline> &pipes() { return pipes_; }
 
   private:
     FuPoolConfig cfg;

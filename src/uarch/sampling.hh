@@ -2,21 +2,23 @@
  * @file
  * Sampled-simulation parameters and the functional pre-pass summary.
  *
- * A sampled run measures a set of cycle-accurate intervals and
- * extrapolates whole-run statistics. Placement is phase-driven
- * (SimPoint-style): the functional pre-pass splits the run into
- * @c period -work chunks, fingerprints each with a PC-histogram
- * signature and clusters equal-phase chunks. The timing run then
+ * A sampled run (Core::runSampled, implemented in uarch/sampled_run)
+ * measures a set of cycle-accurate intervals and extrapolates
+ * whole-run statistics. Placement is phase-driven (SimPoint-style):
+ * the functional pre-pass splits the run into @c period -work chunks,
+ * fingerprints each with a PC-histogram signature and clusters
+ * equal-phase chunks. The timing run then
  *
- *   1. measures the cold prefix exactly (cold caches, bus backlog,
+ *   1. measures the first period exactly (cold caches, bus backlog,
  *      and queue fill-up are real but unrepresentative; extrapolating
  *      them is the dominant error source for short programs),
  *   2. fast-forwards chunk to chunk by warming through: every skipped
  *      instruction is emulated with functional warming (I-cache,
  *      D-cache/L2, branch predictor all trained; the clock advances
  *      virtually at the last measured IPC so bus queueing keeps
- *      evolving), then @c warmup work runs cycle-accurate to restore
- *      queue back-pressure,
+ *      evolving; the store-set shadow re-trains the violation pairs
+ *      detailed intervals observed), then @c warmup work runs
+ *      cycle-accurate to restore queue back-pressure,
  *   3. measures quantile-spread occurrences of every cluster —
  *      settling for one @c interval, then averaging three — and keeps
  *      sampling clusters whose error bound has not converged, within
@@ -25,7 +27,7 @@
  *      work — plus the exact prefix — into whole-run estimates with a
  *      within-cluster 95% confidence bound.
  *
- * Runs shorter than a few periods degrade to exact full simulation.
+ * Runs shorter than 33 periods degrade to exact full simulation.
  * The MGT itself is a static, read-only table and needs no warming;
  * the emulator's block profile (which drives MGT selection) keeps
  * accumulating through fast-forward because profiling is part of
@@ -47,14 +49,6 @@ struct SamplingParams
     std::uint64_t interval = 1000;  ///< detailed work measured per period
     std::uint64_t period = 12000;   ///< work between measurement starts
     std::uint64_t warmup = 2000;    ///< detailed pre-measurement work
-    std::uint64_t ffWarm = 2000;    ///< nonzero: fast-forward warms
-                                    ///< caches and predictors (0 =
-                                    ///< emulate unwarmed); only
-                                    ///< zero-ness matters, though the
-                                    ///< value stays in the cell key
-    std::uint64_t prefix = 0;       ///< exactly-measured cold prefix
-                                    ///< (0 = one period): the startup
-                                    ///< transient never extrapolates
     double targetCi = 0.01;         ///< keep sampling a cluster while
                                     ///< its weighted 95% CI share
                                     ///< exceeds this (0 = fixed two
@@ -63,16 +57,6 @@ struct SamplingParams
                                     ///< share of the run (coverage
                                     ///< beyond one sample per cluster
                                     ///< stops at this spend)
-    /** Functional store-set shadow: while fast-forwarding, re-train
-     *  exactly the (load PC, store PC) pairs this run's detailed
-     *  intervals have already seen violate, so the learned memory
-     *  dependences survive fast-forward gaps and the predictor's
-     *  periodic table clears instead of being re-discovered by
-     *  squash storms inside the measurement intervals. (Pairing
-     *  *functionally-observed* same-address ops instead is tempting
-     *  but wrong: most never violate, and training them serializes
-     *  the machine — see docs/EXPERIMENTS.md.) */
-    bool ssShadow = true;
     /** Measurement-phase perturbation seed (0 = legacy grid-aligned
      *  placement, bit-exact with salt-less builds). When set, each
      *  measured chunk's span starts at a deterministic offset hashed
@@ -86,20 +70,6 @@ struct SamplingParams
      *  part of the cell fingerprint: the same cell key always maps to
      *  the same salt, so keying it would be redundant. */
     std::uint64_t phaseSalt = 0;
-
-    /** Chunks measured exactly at the start (prefix rounded up). */
-    std::uint64_t
-    prefixChunks() const
-    {
-        return prefix ? (prefix + period - 1) / period : 1;
-    }
-
-    /** Exactly-measured startup work. */
-    std::uint64_t
-    coldPrefixWork() const
-    {
-        return prefixChunks() * period;
-    }
 
     /** Sampling degenerates to a full detailed run. A zero interval
      *  has nothing to measure (and would divide the measured-span

@@ -123,7 +123,6 @@ sampledSmall(SimConfig cfg)
     cfg.sampling.interval = 200;
     cfg.sampling.period = 2400;
     cfg.sampling.warmup = 400;
-    cfg.sampling.ffWarm = 400;
     return cfg;
 }
 
@@ -255,9 +254,34 @@ warmedCore(const BoundKernel &bk, std::uint64_t work)
 {
     auto core = std::make_unique<Core>(*bk.program, nullptr, CoreConfig{});
     bk.kernel->setup(core->oracle(), 0);
-    core->fastForward(work, true);
+    core->fastForward(work, /*ipcEst=*/1.0);
     return core;
 }
+
+/** Store stub that misses every load and keeps the first record a
+ *  run writes back. */
+struct FirstWriteback : WarmStoreIf
+{
+    std::uint64_t pos = 0;
+    std::vector<std::uint8_t> bytes;
+
+    bool
+    loadWarm(std::uint64_t, std::uint64_t,
+             std::vector<std::uint8_t> &) override
+    {
+        return false;
+    }
+
+    void
+    storeWarm(std::uint64_t p, std::uint64_t,
+              const std::vector<std::uint8_t> &b) override
+    {
+        if (bytes.empty()) {
+            pos = p;
+            bytes = b;
+        }
+    }
+};
 
 std::vector<std::uint8_t>
 warmBytes(const Core &core)
@@ -522,6 +546,36 @@ TEST(StoreSerial, WarmRecordRoundTripsBitIdentically)
     auto dst = warmedCore(bk, 5000);
     ASSERT_TRUE(dst->tryRestoreWarm(rec));
     EXPECT_EQ(warmBytes(*dst), rec);
+}
+
+TEST(StoreSerial, SeededWarmRecordMatchesGolden)
+{
+    // The first record a seeded sampled sha run writes back: the
+    // seed is the run's own discovered violation set, so the record
+    // carries a shadow section with both woken and dormant edges and
+    // RAW alias entries. Its checksum pins the record layout and the
+    // state it captures; a change here must come with a
+    // warmStateVersion bump.
+    BoundKernel bk = bindKernel(findKernel("sha"));
+    const SamplingParams sp = sampledSmall(SimConfig{}).sampling;
+    SampleSummary sum =
+        collectSampleSummary(*bk.program, nullptr, bk.setup, sp);
+    const std::vector<std::pair<Addr, Addr>> seed = {
+        {0x10048, 0x10028}, {0x10048, 0x10074},
+        {0x1004c, 0x10028}, {0x1005c, 0x10028}};
+    Core core(*bk.program, nullptr, CoreConfig{});
+    bk.kernel->setup(core.oracle(), 0);
+    FirstWriteback store;
+    SampledStats s = core.runSampled(sp, sum, ~0ull, &store, &seed);
+    ASSERT_FALSE(s.exact);
+
+    WarmRecord parts;
+    ASSERT_TRUE(parts.parse(store.bytes));
+    EXPECT_GT(parts.rest.size(), 16u) << "empty shadow section";
+    EXPECT_EQ(store.pos, 4800u);
+    EXPECT_EQ(store.bytes.size(), 45661u);
+    EXPECT_EQ(checksum64(store.bytes.data(), store.bytes.size()),
+              0xd45375b3564cd21cull);
 }
 
 TEST(StoreSerial, MalformedSparseStateLeavesCoreUntouched)

@@ -255,7 +255,6 @@ TEST_P(Fuzz, StoreBackedSamplingMatchesWarmThrough)
     cfg.sampling.interval = 50;
     cfg.sampling.period = 600 + 60 * (GetParam() % 5);
     cfg.sampling.warmup = 100;
-    cfg.sampling.ffWarm = 100;
     PreparedMg prep = prepareMiniGraphs(prog, rr.profile, cfg.policy,
                                         cfg.machine, cfg.compress);
     SampleSummary sum = collectSampleSummary(

@@ -2,8 +2,9 @@
  * @file
  * Sampled simulation: checkpoint fidelity, the degenerate-parameter
  * bit-identity contract, the stated accuracy bound on the tier-1
- * kernel set, the speed proxy (detailed-work fraction), and the
- * engine's cross-config summary sharing.
+ * kernel set, the speed proxy (detailed-work fraction), the engine's
+ * cross-config summary sharing, and the store-set violation shadow
+ * on its own (no timing core).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "assembler/assembler.hh"
 #include "engine/engine.hh"
+#include "uarch/sampled_run.hh"
 #include "workloads/suites.hh"
 
 using namespace mg;
@@ -66,6 +68,27 @@ sbuf:   .space 2560
 }
 
 const SetupFn noSetup = [](Emulator &) {};
+
+/** A functional memory record as the shadow sees it. */
+ExecRecord
+memRec(Addr pc, bool store, Addr addr, int bytes = 8)
+{
+    ExecRecord r;
+    r.pc = pc;
+    r.isMem = true;
+    r.memIsStore = store;
+    r.memAddr = addr;
+    r.memBytes = bytes;
+    return r;
+}
+
+std::vector<std::uint8_t>
+shadowBytes(const ViolationShadow &sh)
+{
+    SerialWriter w;
+    sh.serialize(w);
+    return w.take();
+}
 
 } // namespace
 
@@ -151,7 +174,7 @@ TEST(Sampling, TierOneIpcWithinStatedBound)
 
 TEST(Sampling, FastForwardThenRunCompletesTheProgram)
 {
-    // Clock-frozen fast-forward (the public default): the skipped work
+    // Warming fast-forward at a virtual IPC of one: the skipped work
     // never commits, the tail runs normally, and the drained machine
     // ends with a full free list.
     BoundKernel bk = bindKernel(findKernel("crc"));
@@ -162,7 +185,7 @@ TEST(Sampling, FastForwardThenRunCompletesTheProgram)
     Core core(*bk.program, nullptr, CoreConfig{});
     bk.kernel->setup(core.oracle(), 0);
     int freeAtReset = core.regFreeCount();
-    core.fastForward(total / 2, /*warm=*/true);
+    core.fastForward(total / 2, /*ipcEst=*/1.0);
     std::uint64_t skipped = core.oracle().dynWork();
     EXPECT_GE(skipped, total / 2);
     CoreStats tail = core.run();
@@ -299,4 +322,110 @@ TEST(Sampling, ExhaustedDutyBudgetFallsBackToWholeChunks)
     ASSERT_GT(fullIpc, 0.0);
     EXPECT_LE(std::abs(s.est.ipc() - fullIpc) / fullIpc, 0.025)
         << "sampled " << s.est.ipc() << " vs full " << fullIpc;
+}
+
+// ------------------------------------------------------------------
+// The store-set violation shadow, driven by hand-made records.
+// ------------------------------------------------------------------
+
+TEST(ViolationShadow, SeededEdgeWakesOnlyOnARawWithinTheAliasSpan)
+{
+    const Addr ld = 0x1000, st = 0x2000, other = 0x3000;
+    const std::uint64_t span = ViolationShadow::aliasSpan;
+    ViolationShadow sh;
+    sh.seed({{ld, st}});
+    EXPECT_EQ(sh.dormantEdges(), 1u);
+    StoreSets ss;
+    sh.warm(memRec(ld, false, 0x800), 10, ss);
+    EXPECT_EQ(ss.violations(), 0u) << "a dormant edge re-trained";
+
+    // The partner store, then the load on the same word one past the
+    // span: too far apart to coexist in the window.
+    sh.observe(memRec(st, true, 0x800), 100);
+    sh.observe(memRec(ld, false, 0x804, 4), 100 + span + 1);
+    EXPECT_EQ(sh.dormantEdges(), 1u);
+    // A store that is not the partner, and a load of another word.
+    sh.observe(memRec(other, true, 0x900), 1000);
+    sh.observe(memRec(ld, false, 0x900), 1001);
+    sh.observe(memRec(st, true, 0x800), 2000);
+    sh.observe(memRec(ld, false, 0x808), 2001);
+    EXPECT_EQ(sh.dormantEdges(), 1u);
+    // Exactly at the span: the pair is violable, the edge wakes.
+    sh.observe(memRec(ld, false, 0x800), 2000 + span);
+    EXPECT_EQ(sh.dormantEdges(), 0u);
+
+    // Active now: a fast-forwarded load re-merges its partner; a
+    // store never does.
+    sh.warm(memRec(ld, false, 0x800), 3000, ss);
+    EXPECT_EQ(ss.violations(), 1u);
+    sh.warm(memRec(st, true, 0x800), 3001, ss);
+    EXPECT_EQ(ss.violations(), 1u);
+}
+
+TEST(ViolationShadow, DetailedViolationsWakeDormantAndAddActiveEdges)
+{
+    ViolationShadow sh;
+    sh.seed({{0x1000, 0x2000}, {0x1000, 0x2100}});
+    EXPECT_EQ(sh.dormantEdges(), 2u);
+    sh.recordViolation(0x1000, 0x2100);     // wakes a seeded edge
+    EXPECT_EQ(sh.dormantEdges(), 1u);
+    sh.recordViolation(0x1000, 0x2100);     // already active
+    sh.recordViolation(0x1800, 0x2000);     // new edge, active at once
+    EXPECT_EQ(sh.dormantEdges(), 1u);
+    EXPECT_EQ(sh.sortedPairs().size(), 3u);
+
+    StoreSets ss;
+    sh.warm(memRec(0x1800, false, 0x40), 1, ss);
+    EXPECT_EQ(ss.violations(), 1u);
+    // Only the active one of 0x1000's two partners re-merges.
+    sh.warm(memRec(0x1000, false, 0x40), 2, ss);
+    EXPECT_EQ(ss.violations(), 2u);
+}
+
+TEST(ViolationShadow, SortedPairsAreInLoadThenStoreOrder)
+{
+    ViolationShadow sh;
+    sh.recordViolation(0x3000, 0x20);
+    sh.recordViolation(0x1000, 0x90);
+    sh.recordViolation(0x3000, 0x10);
+    sh.recordViolation(0x1000, 0x50);
+    sh.seed({{0x2000, 0x70}});
+    const std::vector<std::pair<Addr, Addr>> want = {
+        {0x1000, 0x50}, {0x1000, 0x90}, {0x2000, 0x70},
+        {0x3000, 0x10}, {0x3000, 0x20}};
+    EXPECT_EQ(sh.sortedPairs(), want);
+}
+
+TEST(ViolationShadow, SerializeRoundTripsAndTruncationLeavesItUnchanged)
+{
+    ViolationShadow a;
+    a.seed({{0x1000, 0x2000}, {0x1100, 0x2100}});
+    a.recordViolation(0x1100, 0x2100);
+    a.recordViolation(0x1200, 0x2200);
+    a.observe(memRec(0x2000, true, 0x800, 16), 50);   // two alias words
+    const std::vector<std::uint8_t> bytes = shadowBytes(a);
+
+    ViolationShadow b;
+    SerialReader r(bytes);
+    ASSERT_TRUE(b.deserialize(r));
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(shadowBytes(b), bytes);
+    EXPECT_EQ(b.sortedPairs(), a.sortedPairs());
+    EXPECT_EQ(b.dormantEdges(), 1u);
+    // The restored alias map carries the RAW evidence: a load of the
+    // second word within the span wakes the last dormant edge.
+    b.observe(memRec(0x1000, false, 0x808), 60);
+    EXPECT_EQ(b.dormantEdges(), 0u);
+
+    // Every truncation of the section is refused and changes nothing.
+    ViolationShadow c;
+    c.recordViolation(0x9000, 0x9100);
+    const std::vector<std::uint8_t> before = shadowBytes(c);
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+        std::vector<std::uint8_t> cut(
+            bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(n));
+        SerialReader rc(cut);
+        EXPECT_FALSE(c.deserialize(rc)) << n << " bytes";
+        EXPECT_EQ(shadowBytes(c), before) << n << " bytes";
+    }
 }
