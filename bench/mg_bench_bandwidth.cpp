@@ -60,8 +60,7 @@ main(int argc, char **argv)
     CliOptions cli = parseCli(argc, argv);
     bool schedOnly = cli.has("--sched");
     ExperimentEngine engine(cli.jobs);
-    cli.configureStore(engine);
-    cli.configureFaultTolerance(engine);
+    cli.configure(engine);
 
     SweepSpec spec;
     spec.title = "Figure 8 (bottom): bandwidth and scheduling-loop "
@@ -81,20 +80,11 @@ main(int argc, char **argv)
     addPair(spec.columns, "2cyc",
             +[](CoreConfig &c) { c.schedulerCycles = 2; });
 
-    cli.applySampling(spec);
-    cli.applyAnalysis(spec);
+    cli.applyColumns(spec);
     SweepResult r = engine.sweep(spec);
     if (r.planOnly)
         return 0;   // --dry-run: the plan has been printed
     printf("%s\n", sweepTable(r).c_str());
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("bandwidth"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    cli.finish(r, "bandwidth");
     return 0;
 }

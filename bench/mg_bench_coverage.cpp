@@ -246,8 +246,7 @@ main(int argc, char **argv)
 {
     CliOptions cli = parseCli(argc, argv);
     ExperimentEngine engine(cli.jobs);
-    cli.configureStore(engine);
-    cli.configureFaultTolerance(engine);
+    cli.configure(engine);
     if (!cli.has("--robustness")) {
         appSpecific(engine, false, "integer", cli.scale);
         SweepResult intMem =
@@ -255,11 +254,7 @@ main(int argc, char **argv)
         if (intMem.planOnly)
             return 0;   // --dry-run: plans printed, nothing simulated
         domainSpecific(engine, cli.scale);
-        cli.applyReporting(intMem);
-        std::string json = writeSweepJson(intMem, cli.benchName("coverage"),
-                                          cli.jsonPath);
-        if (!json.empty())
-            printf("wrote %s\n", json.c_str());
+        cli.writeJson(intMem, "coverage");
     }
     if (cli.dryRun)
         return 0;   // the non-sweep studies would simulate

@@ -33,8 +33,7 @@ main(int argc, char **argv)
 {
     CliOptions cli = parseCli(argc, argv);
     ExperimentEngine engine(cli.jobs);
-    cli.configureStore(engine);
-    cli.configureFaultTolerance(engine);
+    cli.configure(engine);
 
     SweepSpec spec;
     spec.title = "Section 6.2: icache compression effect (mini-graph "
@@ -60,8 +59,7 @@ main(int argc, char **argv)
     }
     spec.baselineColumn = 0;
 
-    cli.applySampling(spec);
-    cli.applyAnalysis(spec);
+    cli.applyColumns(spec);
     SweepResult r = engine.sweep(spec);
     if (r.planOnly)
         return 0;   // --dry-run: the plan has been printed
@@ -89,14 +87,6 @@ main(int argc, char **argv)
     printf("%s\n",
            reportSpeedups(spec.title, names, rows, {"text-ratio"})
                .c_str());
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("icache"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    cli.finish(r, "icache");
     return 0;
 }

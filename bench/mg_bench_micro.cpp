@@ -113,8 +113,8 @@ BM_CycleSimRate(benchmark::State &state)
     BoundKernel bk = bindKernel(findKernel("bitcount"));
     std::uint64_t work = 0;
     for (auto _ : state) {
-        CoreStats st = runCore(*bk.program, nullptr, CoreConfig{},
-                               bk.setup);
+        CoreStats st = runCell(*bk.program, nullptr,
+                               SimConfig::baseline(), bk.setup);
         work += st.committedWork;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(work));

@@ -24,16 +24,14 @@ main(int argc, char **argv)
 {
     CliOptions cli = parseCli(argc, argv);
     ExperimentEngine engine(cli.jobs);
-    cli.configureStore(engine);
-    cli.configureFaultTolerance(engine);
+    cli.configure(engine);
 
     SweepSpec spec;
     spec.title = "Figure 6: mini-graph speedup over the 6-wide baseline";
     spec.workloads = suiteWorkloads("all", 0, cli.scale);
     spec.columns = standardColumns();
     spec.baselineColumn = 0;
-    cli.applySampling(spec);
-    cli.applyAnalysis(spec);
+    cli.applyColumns(spec);
     SweepResult r = engine.sweep(spec);
     if (r.planOnly)
         return 0;   // --dry-run: the plan has been printed
@@ -48,14 +46,6 @@ main(int argc, char **argv)
            reportSpeedups(spec.title, speedupColumns(r), rows,
                           {"covg(int-mem)"})
                .c_str());
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("performance"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    cli.finish(r, "performance");
     return 0;
 }

@@ -21,8 +21,7 @@ main(int argc, char **argv)
 {
     CliOptions cli = parseCli(argc, argv);
     ExperimentEngine engine(cli.jobs);
-    cli.configureStore(engine);
-    cli.configureFaultTolerance(engine);
+    cli.configure(engine);
 
     SweepSpec spec;
     spec.title = "Figure 8 (top): performance with reduced register "
@@ -40,20 +39,11 @@ main(int argc, char **argv)
         spec.columns.push_back({strfmt("mg%d", regs), mg, true});
     }
 
-    cli.applySampling(spec);
-    cli.applyAnalysis(spec);
+    cli.applyColumns(spec);
     SweepResult r = engine.sweep(spec);
     if (r.planOnly)
         return 0;   // --dry-run: the plan has been printed
     printf("%s\n", sweepTable(r).c_str());
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("regfile"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    cli.finish(r, "regfile");
     return 0;
 }

@@ -45,8 +45,7 @@ main(int argc, char **argv)
     CliOptions cli = parseCli(argc, argv);
     bool best = cli.has("--best");
     ExperimentEngine engine(cli.jobs);
-    cli.configureStore(engine);
-    cli.configureFaultTolerance(engine);
+    cli.configure(engine);
 
     SweepSpec spec;
     spec.title = "Figure 7: serialization and replay policy isolation "
@@ -64,8 +63,7 @@ main(int argc, char **argv)
     };
     spec.baselineColumn = 0;
 
-    cli.applySampling(spec);
-    cli.applyAnalysis(spec);
+    cli.applyColumns(spec);
     SweepResult r = engine.sweep(spec);
     if (r.planOnly)
         return 0;   // --dry-run: the plan has been printed
@@ -84,14 +82,6 @@ main(int argc, char **argv)
         printf("Best-of-policies gmean over all benchmarks: %.3f\n",
                gmean(bests));
     }
-    printf("%s\n", throughputTable(r).c_str());
-    std::string outcomes = outcomeSummary(r);
-    if (!outcomes.empty())
-        printf("%s\n", outcomes.c_str());
-    cli.applyReporting(r);
-    std::string json =
-        writeSweepJson(r, cli.benchName("serialization"), cli.jsonPath);
-    if (!json.empty())
-        printf("wrote %s\n", json.c_str());
+    cli.finish(r, "serialization");
     return 0;
 }

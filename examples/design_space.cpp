@@ -65,9 +65,8 @@ main(int argc, char **argv)
     }
 
     ExperimentEngine engine(cli.jobs);
-    cli.configureStore(engine);
-    cli.configureFaultTolerance(engine);
-    cli.applySampling(spec);
+    cli.configure(engine);
+    cli.applyColumns(spec);
     SweepResult r = engine.sweep(spec);
     if (r.planOnly)
         return 0;   // --dry-run: the plan has been printed

@@ -80,8 +80,9 @@ out:    .space 2048
     //    exactly what a big sweep exploits.
     ExperimentEngine engine;
     EngineWorkload w{"quickstart", "", &prog, nullptr};
-    CoreStats base = engine.cell(w, SimConfig::baseline());
-    CoreStats mgst = engine.cell(w, cfg);
+    CoreStats base = engine.cell(w, {"baseline", SimConfig::baseline()})
+                         .stats;
+    CoreStats mgst = engine.cell(w, {"int-mem", cfg}).stats;
     printf("baseline   : %llu cycles, IPC %.3f\n",
            static_cast<unsigned long long>(base.cycles), base.ipc());
     printf("mini-graphs: %llu cycles, IPC %.3f (%.1f%% speedup, "
@@ -89,7 +90,7 @@ out:    .space 2048
            static_cast<unsigned long long>(mgst.cycles), mgst.ipc(),
            100.0 * (mgst.ipc() / base.ipc() - 1.0),
            100.0 * mgst.dynamicCoverage());
-    engine.cell(w, cfg);    // cache hit: no re-profile, no re-run
+    engine.cell(w, {"int-mem", cfg});   // cache hit: no re-run
     EngineCounters ec = engine.counters();
     printf("engine cache: %llu runs computed, %llu served from "
            "cache\n",

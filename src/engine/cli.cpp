@@ -143,25 +143,6 @@ CliOptions::samplingParams() const
     return sp;
 }
 
-void
-CliOptions::configureStore(ExperimentEngine &engine) const
-{
-    SamplingParams sp = samplingParams();
-    if (!checkpointStore || !sp.enabled)
-        return;
-    CheckpointStoreConfig cfg;
-    cfg.dir = checkpointDir;
-    if (cfg.dir.empty()) {
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): read at startup only
-        const char *env = std::getenv("MG_CHECKPOINT_DIR");
-        cfg.dir = env && *env ? env : ".mg-cache/checkpoints";
-    }
-    if (checkpointCapMb)
-        cfg.capBytes = checkpointCapMb << 20;
-    engine.setCheckpointStore(
-        std::make_shared<CheckpointStore>(std::move(cfg)));
-}
-
 std::string
 CliOptions::journalDir() const
 {
@@ -175,8 +156,22 @@ CliOptions::journalDir() const
 }
 
 void
-CliOptions::configureFaultTolerance(ExperimentEngine &engine) const
+CliOptions::configure(ExperimentEngine &engine) const
 {
+    if (checkpointStore && samplingParams().enabled) {
+        CheckpointStoreConfig cfg;
+        cfg.dir = checkpointDir;
+        if (cfg.dir.empty()) {
+            // NOLINTNEXTLINE(concurrency-mt-unsafe): read at startup only
+            const char *env = std::getenv("MG_CHECKPOINT_DIR");
+            cfg.dir = env && *env ? env : ".mg-cache/checkpoints";
+        }
+        if (checkpointCapMb)
+            cfg.capBytes = checkpointCapMb << 20;
+        engine.setCheckpointStore(
+            std::make_shared<CheckpointStore>(std::move(cfg)));
+    }
+
     FaultPolicy p;
     if (cellTimeoutS >= 0) {
         p.cellTimeoutS = cellTimeoutS;
@@ -209,29 +204,39 @@ CliOptions::configureFaultTolerance(ExperimentEngine &engine) const
 }
 
 void
-CliOptions::applySampling(SweepSpec &spec) const
+CliOptions::applyColumns(SweepSpec &spec) const
 {
     SamplingParams sp = samplingParams();
-    if (!sp.enabled)
-        return;
     for (SweepColumn &col : spec.columns) {
-        if (col.timing)
+        if (!col.timing)
+            continue;
+        if (sp.enabled)
             col.config.sampling = sp;
-    }
-}
-
-void
-CliOptions::applyAnalysis(SweepSpec &spec) const
-{
-    if (!critpath)
-        return;
-    for (SweepColumn &col : spec.columns) {
-        if (col.timing) {
+        if (critpath) {
             col.config.critpath = true;
             col.config.traceDepth = traceDepth;
             col.config.whatIf = whatIf;
         }
     }
+}
+
+void
+CliOptions::writeJson(SweepResult &r, const std::string &base) const
+{
+    r.emitThroughput = !noThroughput;
+    std::string json = writeSweepJson(r, benchName(base), jsonPath);
+    if (!json.empty())
+        std::printf("wrote %s\n", json.c_str());
+}
+
+void
+CliOptions::finish(SweepResult &r, const std::string &base) const
+{
+    std::printf("%s\n", throughputTable(r).c_str());
+    std::string outcomes = outcomeSummary(r);
+    if (!outcomes.empty())
+        std::printf("%s\n", outcomes.c_str());
+    writeJson(r, base);
 }
 
 } // namespace mg

@@ -101,45 +101,38 @@ struct CliOptions
     /** Sampling parameters these flags resolve to (may be disabled). */
     SamplingParams samplingParams() const;
 
-    /** Apply samplingParams() to every timed column of @p spec. */
-    void applySampling(SweepSpec &spec) const;
-
-    /** Apply the --critpath/--trace/--whatif analysis request to every
-     *  timed column of @p spec (no-op when none was given, keeping the
-     *  spec's fingerprints and report byte-identical). Call after
-     *  applySampling. */
-    void applyAnalysis(SweepSpec &spec) const;
+    /** Apply samplingParams() and the --critpath/--trace/--whatif
+     *  analysis request to every timed column of @p spec. Without
+     *  those flags the spec is untouched, keeping its fingerprints and
+     *  report byte-identical. */
+    void applyColumns(SweepSpec &spec) const;
 
     /**
-     * Attach the on-disk warm-checkpoint store to @p engine when these
-     * flags call for one: sampling must be enabled and
-     * --no-checkpoint-store must be absent. The directory is
-     * --checkpoint-dir, else $MG_CHECKPOINT_DIR, else
-     * ".mg-cache/checkpoints". Full-simulation runs never get a
-     * store, so their reports stay byte-identical to store-less
-     * builds.
+     * Configure @p engine from these flags, once per bench:
+     *  - attach the on-disk warm-checkpoint store when sampling is
+     *    enabled and --no-checkpoint-store is absent (directory:
+     *    --checkpoint-dir, else $MG_CHECKPOINT_DIR, else
+     *    ".mg-cache/checkpoints"); full-simulation runs never get a
+     *    store, so their reports stay byte-identical to store-less
+     *    builds;
+     *  - install the FaultPolicy (tier-scaled default deadline unless
+     *    --cell-timeout-s overrides it), enable the sweep journal when
+     *    a directory is configured, arm the global fault injector when
+     *    a spec is, and propagate --dry-run.
      */
-    void configureStore(ExperimentEngine &engine) const;
-
-    /**
-     * Apply the fault-tolerance flags to @p engine: install the
-     * FaultPolicy (tier-scaled default deadline unless
-     * --cell-timeout-s overrides it), enable the sweep journal when a
-     * directory is configured, arm the global fault injector when a
-     * spec is, and propagate --dry-run. Call once per bench, right
-     * after configureStore.
-     */
-    void configureFaultTolerance(ExperimentEngine &engine) const;
+    void configure(ExperimentEngine &engine) const;
 
     /** The journal directory these flags resolve to ("" = none). */
     std::string journalDir() const;
 
-    /** Apply the throughput-reporting choice to a finished sweep. */
-    void
-    applyReporting(SweepResult &r) const
-    {
-        r.emitThroughput = !noThroughput;
-    }
+    /** Write @p r's JSON report as benchName(@p base) (or --json),
+     *  with the wall-clock fields unless --no-throughput, and print
+     *  where it went. */
+    void writeJson(SweepResult &r, const std::string &base) const;
+
+    /** A sweep bench's common ending: the simulator-throughput table,
+     *  the outcome line when some cell was not Ok, then writeJson. */
+    void finish(SweepResult &r, const std::string &base) const;
 };
 
 /** Parse argv; fatal() on malformed options. `--list-kernels` prints

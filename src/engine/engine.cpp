@@ -155,30 +155,12 @@ ExperimentEngine::prepare(const EngineWorkload &w, const SimConfig &cfg)
     });
 }
 
-CoreStats
-ExperimentEngine::cell(const EngineWorkload &w, const SimConfig &cfg)
+std::shared_ptr<const PreparedMg>
+ExperimentEngine::binaryFor(const EngineWorkload &w, const SimConfig &cfg)
 {
-    return cellTimed(w, cfg).stats;
-}
-
-TimedStats
-ExperimentEngine::cellTimed(const EngineWorkload &w, const SimConfig &cfg,
-                            const std::atomic<bool> *cancel)
-{
-    std::string key = cellFingerprint(w.id, cfg);
-    return *runs.get(key, [&]() -> TimedStats {
-        // Artifacts are built outside the timer: wall seconds measure
-        // the cycle-accurate run itself, the simulator's hot path.
-        const PreparedMg *prep = nullptr;
-        std::shared_ptr<const PreparedMg> hold;
-        if (cfg.useMiniGraphs) {
-            hold = prepare(w, cfg);
-            prep = hold.get();
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        CoreStats s = runCell(*w.program, prep, cfg, w.setup, cancel);
-        return {s, secondsSince(t0)};
-    });
+    if (!cfg.useMiniGraphs)
+        return nullptr;
+    return prepare(w, cfg);
 }
 
 CheckpointStore *
@@ -221,17 +203,11 @@ ExperimentEngine::summary(const EngineWorkload &w, const SimConfig &cfg,
                     return sum;
             }
         }
-        const Program *prog = w.program;
-        const MgTable *mgt = nullptr;
-        std::shared_ptr<const PreparedMg> prep;
-        if (cfg.useMiniGraphs) {
-            prep = prepare(w, cfg);
-            prog = &prep->program;
-            mgt = &prep->table;
-        }
-        SampleSummary sum = collectSampleSummary(*prog, mgt, w.setup,
-                                                 cfg.sampling,
-                                                 cfg.runBudget, cancel);
+        auto prep = binaryFor(w, cfg);
+        SampleSummary sum = collectSampleSummary(
+            prep ? prep->program : *w.program,
+            prep ? &prep->table : nullptr, w.setup, cfg.sampling,
+            cfg.runBudget, cancel);
         if (cs) {
             SerialWriter sw;
             serializeSampleSummary(sum, sw);
@@ -241,104 +217,70 @@ ExperimentEngine::summary(const EngineWorkload &w, const SimConfig &cfg,
     });
 }
 
-SampledStats
-ExperimentEngine::cellSampled(const EngineWorkload &w, const SimConfig &cfg)
-{
-    return cellSampledTimed(w, cfg).stats;
-}
-
-TimedSampled
-ExperimentEngine::cellSampledTimed(const EngineWorkload &w,
-                                   const SimConfig &cfg,
-                                   const std::atomic<bool> *cancel)
-{
-    std::string key = cellFingerprint(w.id, cfg);
-    return *sampledRuns.get(key, [&]() -> TimedSampled {
-        auto sum = summary(w, cfg, cancel);
-        const PreparedMg *prep = nullptr;
-        std::shared_ptr<const PreparedMg> hold;
-        if (cfg.useMiniGraphs) {
-            hold = prepare(w, cfg);
-            prep = hold.get();
-        }
-        std::unique_ptr<CellCheckpointClient> client;
-        if (storeFor(cfg.sampling))
-            client = makeCellClient(*store_, key);
-        // Measurement-phase salt, derived from the cell fingerprint on
-        // an execution copy: deterministic across sessions (the same
-        // cell always measures the same spans, so warm-store records
-        // and journal replays stay coherent) without being part of the
-        // key itself — the mapping key -> salt is fixed, so keying it
-        // would be redundant. De-correlates measurement placement
-        // from the period grid (the huge-tier jpeg.dct alias).
-        SimConfig run = cfg;
-        std::uint64_t salt = fnv1a64(key.data(), key.size());
-        run.sampling.phaseSalt = salt ? salt : 1;
-        auto t0 = std::chrono::steady_clock::now();
-        SampledStats s = runCellSampled(*w.program, prep, run, w.setup,
-                                        *sum, client.get(), cancel);
-        return {s, secondsSince(t0)};
-    });
-}
-
-CritPathSummary
-ExperimentEngine::critpathCell(const EngineWorkload &w,
-                               const SimConfig &cfg,
-                               const std::atomic<bool> *cancel)
-{
-    // The key shares the cell fingerprint (which includes the gated
-    // critpath fields), so one traced run serves every sweep cell
-    // with the same (workload, config) identity.
-    std::string key = cellFingerprint(w.id, cfg) + "|critpath";
-    return *critpathRuns.get(key, [&]() -> CritPathSummary {
-        const PreparedMg *prep = nullptr;
-        std::shared_ptr<const PreparedMg> hold;
-        if (cfg.useMiniGraphs) {
-            hold = prepare(w, cfg);
-            prep = hold.get();
-        }
-        return runCellTraced(*w.program, prep, cfg, w.setup, cancel);
-    });
-}
-
 SweepCell
-ExperimentEngine::computeCell(const EngineWorkload &w,
-                              const SweepColumn &col,
-                              const std::atomic<bool> *cancel)
+ExperimentEngine::cell(const EngineWorkload &w, const SweepColumn &col,
+                       const std::atomic<bool> *cancel)
 {
-    SweepCell out;
-    if (col.config.useMiniGraphs) {
-        auto prep = prepare(w, col.config);
-        out.staticCoverage = prep->staticCoverage;
-        out.templates = prep->table.size();
-        out.textSlots = prep->program.text.size();
-    } else {
-        out.textSlots = w.program->text.size();
+    const SimConfig &cfg = col.config;
+    auto prep = binaryFor(w, cfg);
+    SweepCell binary;   // the static numbers every column reports
+    binary.textSlots = prep ? prep->program.text.size()
+                            : w.program->text.size();
+    if (prep) {
+        binary.staticCoverage = prep->staticCoverage;
+        binary.templates = prep->table.size();
     }
-    if (col.timing) {
-        if (col.config.sampling.enabled) {
-            TimedSampled ts = cellSampledTimed(w, col.config, cancel);
-            out.sampled = ts.stats;
+    if (!col.timing)
+        return binary;
+
+    std::string key = cellFingerprint(w.id, cfg);
+    auto &cache = cfg.sampling.enabled ? sampledRuns : runs;
+    return *cache.get(key, [&]() -> SweepCell {
+        SweepCell out = binary;
+        // Artifacts are built outside the timer: wall seconds measure
+        // the timing run itself, the simulator's hot path.
+        std::chrono::steady_clock::time_point t0;
+        if (cfg.sampling.enabled) {
+            auto sum = summary(w, cfg, cancel);
+            std::unique_ptr<CellCheckpointClient> client;
+            if (storeFor(cfg.sampling))
+                client = makeCellClient(*store_, key);
+            // Measurement-phase salt, derived from the cell
+            // fingerprint on an execution copy: deterministic across
+            // sessions (the same cell always measures the same spans,
+            // so warm-store records and journal replays stay
+            // coherent) without being part of the key itself — the
+            // mapping key -> salt is fixed, so keying it would be
+            // redundant. De-correlates measurement placement from the
+            // period grid (the huge-tier jpeg.dct alias).
+            SimConfig run = cfg;
+            std::uint64_t salt = fnv1a64(key.data(), key.size());
+            run.sampling.phaseSalt = salt ? salt : 1;
+            t0 = std::chrono::steady_clock::now();
+            out.sampled = runCellSampled(*w.program, prep.get(), run,
+                                         w.setup, *sum, client.get(),
+                                         cancel);
             out.stats = out.sampled.est;
             out.sampledRun = true;
-            out.wallSeconds = ts.seconds;
         } else {
-            TimedStats ts = cellTimed(w, col.config, cancel);
-            out.stats = ts.stats;
-            out.wallSeconds = ts.seconds;
+            t0 = std::chrono::steady_clock::now();
+            out.stats = runCell(*w.program, prep.get(), cfg, w.setup,
+                                cancel);
         }
+        out.wallSeconds = secondsSince(t0);
         out.timed = true;
         if (out.wallSeconds > 0) {
             out.workPerSec =
                 static_cast<double>(out.stats.committedWork) /
                 out.wallSeconds;
         }
-        // Critical-path analysis rides on timing cells only: it is a
-        // separate traced run, so the timed stats above are untouched.
-        if (col.config.critpath)
-            out.critpath = critpathCell(w, col.config, cancel);
-    }
-    return out;
+        // Critical-path analysis is a separate traced run, outside
+        // the timer, so the timed stats above are untouched.
+        if (cfg.critpath)
+            out.critpath = runCellTraced(*w.program, prep.get(), cfg,
+                                         w.setup, cancel);
+        return out;
+    });
 }
 
 SweepCell
@@ -368,7 +310,7 @@ ExperimentEngine::runOne(const EngineWorkload &w, const SweepColumn &col)
             faultPoint(FaultSite::Alloc, cellKey);
             faultPoint(FaultSite::CellFail, cellKey);
             faultPoint(FaultSite::Cell, cellKey);
-            SweepCell out = computeCell(w, col, &cancelFlag);
+            SweepCell out = cell(w, col, &cancelFlag);
             disarm();
             out.retries = static_cast<std::uint32_t>(attempt);
             return out;

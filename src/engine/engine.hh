@@ -2,12 +2,12 @@
  * @file
  * The ExperimentEngine: the one driver every bench and example runs
  * through. It owns thread-safe caches of the immutable experiment
- * artifacts (BlockProfile, PreparedMg, CoreStats) keyed by canonical
- * fingerprints, and executes kernel×configuration matrices on a worker
- * pool with deterministic, ordered aggregation — a parallel sweep is
- * bit-identical to a serial one because every cell is a pure function
- * of its (workload, config) key and results land in pre-assigned
- * row-major slots.
+ * artifacts (BlockProfile, PreparedMg, SampleSummary, timed SweepCell)
+ * keyed by canonical fingerprints, and executes kernel×configuration
+ * matrices on a worker pool with deterministic, ordered aggregation —
+ * a parallel sweep is bit-identical to a serial one because every cell
+ * is a pure function of its (workload, config) key and results land in
+ * pre-assigned row-major slots.
  *
  * Concurrency contract (audited across emu/uarch/mg): a cell touches
  * only its own Emulator/Core plus shared *const* artifacts; the only
@@ -61,24 +61,6 @@ struct SweepSpec
     std::vector<EngineWorkload> workloads;   ///< rows
     std::vector<SweepColumn> columns;
     int baselineColumn = -1;                 ///< speedup reference
-};
-
-/** A timing run plus the wall-clock its computation took. The seconds
- *  are recorded once at compute time and travel with the cached
- *  artifact, so cache hits report the cost of the original run —
- *  which is what makes per-cell simulator throughput (committed work
- *  per wall-second) comparable across sweeps and PRs. */
-struct TimedStats
-{
-    CoreStats stats;
-    double seconds = 0;
-};
-
-/** Sampled-run counterpart of TimedStats. */
-struct TimedSampled
-{
-    SampledStats stats;
-    double seconds = 0;
 };
 
 /**
@@ -137,14 +119,21 @@ class ExperimentEngine
     std::shared_ptr<const PreparedMg>
     prepare(const EngineWorkload &w, const SimConfig &cfg);
 
-    /** End-to-end timing of one cell (cached). */
-    CoreStats cell(const EngineWorkload &w, const SimConfig &cfg);
-
-    /** cell() plus the wall-clock seconds its compute took. A non-null
-     *  @p cancel attaches the per-attempt deadline flag to the compute
-     *  (cache hits never consult it). */
-    TimedStats cellTimed(const EngineWorkload &w, const SimConfig &cfg,
-                         const std::atomic<bool> *cancel = nullptr);
+    /**
+     * One sweep cell, exactly as sweep() fills its slot: the binary's
+     * static numbers plus, for a timing column, the full or sampled
+     * timing run (per config.sampling.enabled) and, with
+     * config.critpath, the traced critical-path analysis. A timed
+     * cell is cached whole under its cellFingerprint, so a repeat
+     * call returns the first compute, wallSeconds included — the
+     * original run's cost, which keeps per-cell simulator throughput
+     * comparable across sweeps. A non-null @p cancel attaches the
+     * per-attempt deadline flag to the compute (cache hits never
+     * consult it). Throws on failure; sweep() wraps each call in the
+     * cell's failure domain.
+     */
+    SweepCell cell(const EngineWorkload &w, const SweepColumn &col,
+                   const std::atomic<bool> *cancel = nullptr);
 
     /**
      * Functional sample summary for the binary @p cfg executes on
@@ -154,16 +143,6 @@ class ExperimentEngine
     std::shared_ptr<const SampleSummary>
     summary(const EngineWorkload &w, const SimConfig &cfg,
             const std::atomic<bool> *cancel = nullptr);
-
-    /** Sampled end-to-end timing of one cell (cached). */
-    SampledStats cellSampled(const EngineWorkload &w, const SimConfig &cfg);
-
-    /** cellSampled() plus the wall-clock seconds its compute took.
-     *  @p cancel as in cellTimed. */
-    TimedSampled cellSampledTimed(const EngineWorkload &w,
-                                  const SimConfig &cfg,
-                                  const std::atomic<bool> *cancel =
-                                      nullptr);
 
     /**
      * Execute the full matrix. Cells are distributed over the worker
@@ -205,10 +184,9 @@ class ExperimentEngine
      * persist (and restore) their sample summaries, per-chunk warm
      * state, and discovered violation-pair seeds across processes,
      * and run the two-pass violation-seeded scheme (see
-     * runCellSampled's store overload). Full-simulation cells and
-     * engines without a store are unaffected — their results stay
-     * bit-identical to a store-less engine. Null (the default)
-     * detaches.
+     * runCellSampled). Full-simulation cells and engines without a
+     * store are unaffected — their results stay bit-identical to a
+     * store-less engine. Null (the default) detaches.
      */
     void
     setCheckpointStore(std::shared_ptr<CheckpointStore> s)
@@ -228,19 +206,13 @@ class ExperimentEngine
      *  outcome conversion. Never throws. */
     SweepCell runOne(const EngineWorkload &w, const SweepColumn &col);
 
-    /** One attempt's actual compute (the pre-fault-tolerance runOne
-     *  body); throws on failure. */
-    SweepCell computeCell(const EngineWorkload &w, const SweepColumn &col,
-                          const std::atomic<bool> *cancel);
-
     /** The store, when it should serve @p sp; else null. */
     CheckpointStore *storeFor(const SamplingParams &sp) const;
 
-    /** The cell's critical-path analysis run (cached): one traced
-     *  re-execution plus the analyzer walks (see runCellTraced). */
-    CritPathSummary critpathCell(const EngineWorkload &w,
-                                 const SimConfig &cfg,
-                                 const std::atomic<bool> *cancel);
+    /** The rewrite @p cfg executes on @p w (cached), or null for a
+     *  baseline config, whose cells run @p w's own program. */
+    std::shared_ptr<const PreparedMg>
+    binaryFor(const EngineWorkload &w, const SimConfig &cfg);
 
     int jobs_;
     FaultPolicy policy_;
@@ -250,10 +222,9 @@ class ExperimentEngine
     std::shared_ptr<CheckpointStore> store_;
     ArtifactCache<BlockProfile> profiles;
     ArtifactCache<PreparedMg> prepared;
-    ArtifactCache<TimedStats> runs;
+    ArtifactCache<SweepCell> runs;           ///< full-simulation cells
     ArtifactCache<SampleSummary> summaries;
-    ArtifactCache<TimedSampled> sampledRuns;
-    ArtifactCache<CritPathSummary> critpathRuns;
+    ArtifactCache<SweepCell> sampledRuns;    ///< sampled cells
 };
 
 } // namespace mg

@@ -46,26 +46,15 @@ prepareMiniGraphs(const Program &prog, const BlockProfile &prof,
 }
 
 CoreStats
-runCore(const Program &prog, const MgTable *mgt, const CoreConfig &coreCfg,
-        const SetupFn &setup, std::uint64_t maxWork,
-        const std::atomic<bool> *cancel)
-{
-    Core core(prog, mgt, coreCfg);
-    core.setCancel(cancel);
-    if (setup)
-        setup(core.oracle());
-    return core.run(maxWork);
-}
-
-CoreStats
 runCell(const Program &prog, const PreparedMg *prep, const SimConfig &cfg,
         const SetupFn &setup, const std::atomic<bool> *cancel)
 {
-    if (!cfg.useMiniGraphs)
-        return runCore(prog, nullptr, cfg.core, setup, cfg.runBudget,
-                       cancel);
-    return runCore(prep->program, &prep->table, cfg.core, setup,
-                   cfg.runBudget, cancel);
+    Core core(cfg.useMiniGraphs ? prep->program : prog,
+              cfg.useMiniGraphs ? &prep->table : nullptr, cfg.core);
+    core.setCancel(cancel);
+    if (setup)
+        setup(core.oracle());
+    return core.run(cfg.runBudget);
 }
 
 CritPathSummary

@@ -42,14 +42,6 @@ PreparedMg prepareMiniGraphs(const Program &prog,
                              const MgtMachine &machine,
                              bool compress = false);
 
-/** Run the timing core over (@p prog, @p mgt). A non-null @p cancel
- *  attaches the engine's cooperative deadline flag (Core::setCancel);
- *  the run then throws CellTimeout once the flag fires. */
-CoreStats runCore(const Program &prog, const MgTable *mgt,
-                  const CoreConfig &coreCfg, const SetupFn &setup,
-                  std::uint64_t maxWork = ~0ull,
-                  const std::atomic<bool> *cancel = nullptr);
-
 /**
  * The experiment engine's single-cell primitive: time one
  * (program, config) cell from already-computed artifacts. For a
@@ -57,7 +49,9 @@ CoreStats runCore(const Program &prog, const MgTable *mgt,
  * (@p prog, @p cfg) — its rewritten program and table are what run;
  * for a baseline config @p prep is null and @p prog runs unmodified.
  * Reads only const state, so concurrent cells may share @p prog and
- * @p prep freely. @p cancel as in runCore.
+ * @p prep freely. A non-null @p cancel attaches the engine's
+ * cooperative deadline flag (Core::setCancel); the run then throws
+ * CellTimeout once the flag fires.
  */
 CoreStats runCell(const Program &prog, const PreparedMg *prep,
                   const SimConfig &cfg, const SetupFn &setup,
@@ -119,7 +113,7 @@ class CellCheckpointClient : public WarmStoreIf
  * fast-forward with cycle-accurate measurement intervals and
  * extrapolate whole-run statistics (see Core::runSampled). @p sum
  * must come from collectSampleSummary for the same binary, inputs,
- * and sampling grid. @p cancel as in runCore.
+ * and sampling grid. @p cancel as in runCell.
  *
  * With a @p store, two-pass violation-seeded sampling. The documented
  * accuracy failure of warm-through sampling (reed@long/int-mem, ~26%

@@ -1319,7 +1319,7 @@ Core::tryRestoreWarm(const std::vector<std::uint8_t> &bytes)
     bp.adoptState(bs);
     ss.adoptState(sss);
     if (shadow_)
-        *shadow_ = std::move(shadow);
+        shadow_->adopt(std::move(shadow));
     stats_.cycles = now;        // as after fastForward
     lastFetchLine = ~Addr(0);
     return true;

@@ -292,7 +292,8 @@ class Core
     /** Parse + validate a serializeWarm record and, only if every
      *  piece is well-formed and compatible with this configuration,
      *  atomically adopt it (never partially mutates on failure; the
-     *  shadow section goes to the attached shadow, if any). The
+     *  shadow section goes to the attached shadow, if any, through
+     *  ViolationShadow::adopt). The
      *  pipeline must be empty. Like fastForward, a restore leaves
      *  stats() untouched but the clock. */
     bool tryRestoreWarm(const std::vector<std::uint8_t> &bytes);

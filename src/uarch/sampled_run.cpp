@@ -14,17 +14,17 @@ void
 ViolationShadow::addEdge(Addr loadPc, Addr storePc, bool active)
 {
     edges_[loadPc].push_back({storePc, active});
-    if (!active) {
-        partnerStores_.insert(storePc);
+    if (!active)
         ++dormant_;
-    }
 }
 
 void
 ViolationShadow::seed(const std::vector<std::pair<Addr, Addr>> &pairs)
 {
-    for (const auto &[loadPc, storePc] : pairs)
+    for (const auto &[loadPc, storePc] : pairs) {
         addEdge(loadPc, storePc, false);
+        partnerStores_.insert(storePc);
+    }
 }
 
 void
@@ -113,8 +113,9 @@ ViolationShadow::sortedPairs() const
 }
 
 // deserialize rebuilds the edges through addEdge, which derives
-// dormant_ and partnerStores_ from the activation bits.
-void    // mglint:allow(serial-parity): restored via addEdge, see above
+// dormant_ from the activation bits; partnerStores_ is the seed's,
+// which adopt() keeps.
+void    // mglint:allow(serial-parity): see above
 ViolationShadow::serialize(SerialWriter &w) const
 {
     std::vector<std::tuple<Addr, Addr, std::uint8_t>> edges;
@@ -169,6 +170,13 @@ ViolationShadow::deserialize(SerialReader &r)
         return false;
     *this = std::move(in);
     return true;
+}
+
+void
+ViolationShadow::adopt(ViolationShadow &&restored)
+{
+    restored.partnerStores_ = std::move(partnerStores_);
+    *this = std::move(restored);
 }
 
 // ------------------------------------------------------------ the sampler

@@ -102,8 +102,15 @@ class ViolationShadow
     void serialize(SerialWriter &w) const;
 
     /** Parse a serialize() section. On malformed input return false
-     *  and leave the shadow unchanged. */
+     *  and leave the shadow unchanged. The scan gate is not in the
+     *  section: a parsed shadow is meant for adopt(). */
     bool deserialize(SerialReader &r);
+
+    /** Take @p restored's edges and alias map (a deserialize()d
+     *  warm-record section), keeping this shadow's scan gate — the
+     *  seed's store PCs, fixed for the whole run — so a restored
+     *  shadow scans exactly the stores the live one would. */
+    void adopt(ViolationShadow &&restored);
 
   private:
     struct Partner
@@ -113,7 +120,8 @@ class ViolationShadow
     };
     /** Load PC -> the store PCs it violated against. */
     std::unordered_map<Addr, std::vector<Partner>> edges_;
-    /** Store PCs appearing in some dormant edge (scan gate). */
+    /** The seeded store PCs (scan gate): seed() adds them and nothing
+     *  removes them, so a store PC stays gated after its edges wake. */
     std::unordered_set<Addr> partnerStores_;
     /** 8-byte word -> (partner store PC, work position) of the most
      *  recent partner store touching it; the load side of the RAW

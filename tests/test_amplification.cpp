@@ -24,14 +24,22 @@ runMg(const BoundKernel &bk, SimConfig sc)
                                        sc.profileBudget);
     PreparedMg prep = prepareMiniGraphs(*bk.program, prof, sc.policy,
                                         sc.machine, sc.compress);
-    return runCore(prep.program, &prep.table, sc.core, bk.setup);
+    return runCell(*bk.program, &prep, sc, bk.setup);
+}
+
+/** Time @p bk's own program on the @p core machine. */
+CoreStats
+runBaseline(const BoundKernel &bk, const CoreConfig &core)
+{
+    SimConfig cfg;
+    cfg.core = core;
+    return runCell(*bk.program, nullptr, cfg, bk.setup);
 }
 
 TEST(Amplification, SlotsShrinkByCoverage)
 {
     BoundKernel bk = bindKernel(findKernel("gsm.lpc"));
-    CoreStats base = runCore(*bk.program, nullptr,
-                             SimConfig::baseline().core, bk.setup);
+    CoreStats base = runBaseline(bk, SimConfig::baseline().core);
     CoreStats mg = runMg(bk, SimConfig::intMemMg());
 
     EXPECT_EQ(base.committedWork, mg.committedWork);
@@ -56,7 +64,7 @@ TEST(Amplification, FewerRegistersWrittenWithMiniGraphs)
     CoreConfig baseCfg;
     baseCfg.physRegs = 124;
 
-    CoreStats base = runCore(*bk.program, nullptr, baseCfg, bk.setup);
+    CoreStats base = runBaseline(bk, baseCfg);
     CoreStats mg = runMg(bk, mgCfg);
     EXPECT_GT(mg.ipc(), base.ipc());
 }
@@ -75,7 +83,7 @@ TEST(Amplification, CompensatesForNarrowPipeline)
     SimConfig mg4 = SimConfig::intMemMg();
     narrow(mg4.core);
 
-    CoreStats b = runCore(*bk.program, nullptr, base4, bk.setup);
+    CoreStats b = runBaseline(bk, base4);
     CoreStats m = runMg(bk, mg4);
     EXPECT_GT(m.ipc(), b.ipc());
 }
@@ -91,8 +99,8 @@ TEST(Amplification, HidesSchedulingLoopLatency)
     SimConfig mg2 = SimConfig::intMemMg();
     mg2.core.schedulerCycles = 2;
 
-    CoreStats b1 = runCore(*bk.program, nullptr, base1, bk.setup);
-    CoreStats b2 = runCore(*bk.program, nullptr, base2, bk.setup);
+    CoreStats b1 = runBaseline(bk, base1);
+    CoreStats b2 = runBaseline(bk, base2);
     CoreStats m2 = runMg(bk, mg2);
     double baseLoss = b2.ipc() / b1.ipc();
     double mgVsSlow = m2.ipc() / b2.ipc();

@@ -27,6 +27,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -898,7 +899,7 @@ TEST(StoreEndToEnd, ColdPopulatesWarmRestoresBitIdentically)
     ExperimentEngine cold(1);
     cold.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
-    SampledStats a = cold.cellSampled(w, sc);
+    SampledStats a = cold.cell(w, {"sampled", sc}).sampled;
     ASSERT_FALSE(a.exact) << "kernel too small to exercise sampling";
     EXPECT_GT(a.ckptWritebacks, 0u);
     EXPECT_EQ(a.ckptRestores, 0u);
@@ -907,7 +908,7 @@ TEST(StoreEndToEnd, ColdPopulatesWarmRestoresBitIdentically)
     ExperimentEngine warm(1);
     warm.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
-    SampledStats b = warm.cellSampled(w, sc);
+    SampledStats b = warm.cell(w, {"sampled", sc}).sampled;
     EXPECT_GT(b.ckptRestores, 0u);
     EXPECT_EQ(b.ckptWritebacks, 0u);
 
@@ -929,7 +930,7 @@ TEST(StoreEndToEnd, CorruptedRecordsFallBackToIdenticalRecompute)
     ExperimentEngine cold(1);
     cold.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
-    SampledStats a = cold.cellSampled(w, sc);
+    SampledStats a = cold.cell(w, {"sampled", sc}).sampled;
     ASSERT_FALSE(a.exact);
     ASSERT_GT(a.ckptWritebacks, 0u);
 
@@ -941,7 +942,7 @@ TEST(StoreEndToEnd, CorruptedRecordsFallBackToIdenticalRecompute)
     ExperimentEngine warm(1);
     warm.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
-    SampledStats b = warm.cellSampled(w, sc);
+    SampledStats b = warm.cell(w, {"sampled", sc}).sampled;
 
     // Nothing restorable: the session must recompute everything and
     // land on the cold session's exact stats — corruption can cost
@@ -955,9 +956,49 @@ TEST(StoreEndToEnd, CorruptedRecordsFallBackToIdenticalRecompute)
     ExperimentEngine healed(1);
     healed.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
-    SampledStats c = healed.cellSampled(w, sc);
+    SampledStats c = healed.cell(w, {"sampled", sc}).sampled;
     EXPECT_GT(c.ckptRestores, 0u);
     EXPECT_EQ(c.est, a.est);
+}
+
+TEST(StoreEndToEnd, PartlyEvictedStoreReproducesTheColdSession)
+{
+    ScratchDir dir("e2e-evict");
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    EngineWorkload w = workload(bk);
+    SimConfig sc = sampledSmall(SimConfig::intMemMg());
+
+    ExperimentEngine cold(1);
+    cold.setCheckpointStore(
+        std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
+    SampledStats a = cold.cell(w, {"sampled", sc}).sampled;
+    ASSERT_FALSE(a.exact);
+    ASSERT_GT(a.ckptWritebacks, 0u);
+
+    // Delete every third warm record (in key order, so the same ones
+    // every run): the next session restores the gaps it still has
+    // and warms through the rest from restored state.
+    std::vector<std::pair<std::string, fs::path>> warmRecords;
+    for (const fs::path &f : recordFiles(dir.path)) {
+        std::string key = recordKey(f);
+        if (key.rfind("warm|", 0) == 0)
+            warmRecords.emplace_back(key, f);
+    }
+    std::sort(warmRecords.begin(), warmRecords.end());
+    ASSERT_GE(warmRecords.size(), 3u);
+    for (std::size_t i = 2; i < warmRecords.size(); i += 3)
+        fs::remove(warmRecords[i].second);
+
+    ExperimentEngine warm(1);
+    warm.setCheckpointStore(
+        std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
+    SampledStats b = warm.cell(w, {"sampled", sc}).sampled;
+    EXPECT_GT(b.ckptRestores, 0u);
+    EXPECT_EQ(b.est, a.est);
+    EXPECT_EQ(b.intervals, a.intervals);
+    EXPECT_EQ(b.measuredCycles, a.measuredCycles);
+    EXPECT_EQ(b.ipcHat, a.ipcHat);
+    EXPECT_EQ(b.ipcRelCi95, a.ipcRelCi95);
 }
 
 TEST(StoreEndToEnd, FormatTwoRecordsRecomputeIdentically)
@@ -970,7 +1011,7 @@ TEST(StoreEndToEnd, FormatTwoRecordsRecomputeIdentically)
     ExperimentEngine cold(1);
     cold.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
-    SampledStats a = cold.cellSampled(w, sc);
+    SampledStats a = cold.cell(w, {"sampled", sc}).sampled;
     ASSERT_FALSE(a.exact);
     ASSERT_GT(a.ckptWritebacks, 0u);
 
@@ -990,7 +1031,7 @@ TEST(StoreEndToEnd, FormatTwoRecordsRecomputeIdentically)
     ExperimentEngine warm(1);
     warm.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
-    SampledStats b = warm.cellSampled(w, sc);
+    SampledStats b = warm.cell(w, {"sampled", sc}).sampled;
 
     // Every old record reads as stale and is recomputed, to the same
     // result.
@@ -1004,7 +1045,7 @@ TEST(StoreEndToEnd, FormatTwoRecordsRecomputeIdentically)
     ExperimentEngine healed(1);
     healed.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
-    SampledStats c = healed.cellSampled(w, sc);
+    SampledStats c = healed.cell(w, {"sampled", sc}).sampled;
     EXPECT_GT(c.ckptRestores, 0u);
     EXPECT_EQ(c.est, a.est);
 }
@@ -1020,12 +1061,12 @@ TEST(StoreEndToEnd, UnusableDirectoryStillSimulatesStoreless)
     SimConfig sc = sampledSmall(SimConfig::intMemMg());
 
     ExperimentEngine plain(1);
-    SampledStats ref = plain.cellSampled(w, sc);
+    SampledStats ref = plain.cell(w, {"sampled", sc}).sampled;
 
     ExperimentEngine broken(1);
     broken.setCheckpointStore(std::make_shared<CheckpointStore>(
         CheckpointStoreConfig{(blocker / "cache").string()}));
-    SampledStats got = broken.cellSampled(w, sc);
+    SampledStats got = broken.cell(w, {"sampled", sc}).sampled;
 
     // A disabled store must not change a single bit of the result.
     EXPECT_EQ(got.est, ref.est);

@@ -15,6 +15,15 @@
 namespace mg {
 namespace {
 
+/** Time @p bk's own program on the @p core machine. */
+CoreStats
+runBaseline(const BoundKernel &bk, const CoreConfig &core)
+{
+    SimConfig cfg;
+    cfg.core = core;
+    return runCell(*bk.program, nullptr, cfg, bk.setup);
+}
+
 std::uint64_t
 referenceWork(const BoundKernel &bk)
 {
@@ -95,8 +104,8 @@ TEST(CoreKnobs, NarrowerMachineIsSlower)
         narrow.commitWidth = 2;
     narrow.fu.issueWidth = 2;
 
-    CoreStats w = runCore(*bk.program, nullptr, wide, bk.setup);
-    CoreStats n = runCore(*bk.program, nullptr, narrow, bk.setup);
+    CoreStats w = runBaseline(bk, wide);
+    CoreStats n = runBaseline(bk, narrow);
     EXPECT_LT(n.ipc(), w.ipc());
 }
 
@@ -109,8 +118,8 @@ TEST(CoreKnobs, SmallerRegisterFileIsNotFaster)
     CoreConfig small;
     small.physRegs = 104;
 
-    CoreStats b = runCore(*bk.program, nullptr, big, bk.setup);
-    CoreStats s = runCore(*bk.program, nullptr, small, bk.setup);
+    CoreStats b = runBaseline(bk, big);
+    CoreStats s = runBaseline(bk, small);
     EXPECT_LE(s.ipc(), b.ipc() * 1.001);
     EXPECT_EQ(s.committedWork, b.committedWork);
 }
@@ -127,8 +136,8 @@ TEST(CoreKnobs, StoreSetsSerializeShasInWindowRaces)
     CoreConfig shallow;
     shallow.physRegs = 104;
 
-    CoreStats d = runCore(*bk.program, nullptr, deep, bk.setup);
-    CoreStats s = runCore(*bk.program, nullptr, shallow, bk.setup);
+    CoreStats d = runBaseline(bk, deep);
+    CoreStats s = runBaseline(bk, shallow);
     EXPECT_GT(d.ordViolations, 0u);
     EXPECT_EQ(s.ordViolations, 0u);
     EXPECT_EQ(d.committedWork, s.committedWork);
@@ -143,8 +152,8 @@ TEST(CoreKnobs, TwoCycleSchedulerIsSlowerOnSerialCode)
     CoreConfig slow;
     slow.schedulerCycles = 2;
 
-    CoreStats f = runCore(*bk.program, nullptr, fast, bk.setup);
-    CoreStats s = runCore(*bk.program, nullptr, slow, bk.setup);
+    CoreStats f = runBaseline(bk, fast);
+    CoreStats s = runBaseline(bk, slow);
     EXPECT_LT(s.ipc(), f.ipc());
 }
 
@@ -152,7 +161,7 @@ TEST(CoreKnobs, PerfectFrontEndBoundsIpcByIssueWidth)
 {
     BoundKernel bk = bindKernel(findKernel("bitcount"));
     CoreConfig cfg;
-    CoreStats st = runCore(*bk.program, nullptr, cfg, bk.setup);
+    CoreStats st = runBaseline(bk, cfg);
     EXPECT_LE(st.ipc(), static_cast<double>(cfg.issueWidth));
 }
 
@@ -161,7 +170,7 @@ TEST(CoreStatsTest, StallCountersAreConsistent)
     BoundKernel bk = bindKernel(findKernel("mcf"));
     CoreConfig cfg;
     cfg.robSize = 16;   // force ROB-full stalls
-    CoreStats st = runCore(*bk.program, nullptr, cfg, bk.setup);
+    CoreStats st = runBaseline(bk, cfg);
     EXPECT_GT(st.robFullStalls, 0u);
     EXPECT_GT(st.dcacheMisses, 0u);   // mcf is cache-hostile
 }

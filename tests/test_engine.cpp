@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.hh"
+#include "common/serial.hh"
 #include "engine/fingerprint.hh"
 #include "workloads/suites.hh"
 
@@ -58,8 +59,60 @@ TEST(Engine, CellMatchesSimulate)
     SimConfig cfg = SimConfig::intMemMg();
     cfg.runBudget = testBudget;
     ExperimentEngine engine(2);
-    EXPECT_EQ(engine.cell(workload(bk), cfg),
+    EXPECT_EQ(engine.cell(workload(bk), {"full", cfg}).stats,
               simulate(*bk.program, cfg, bk.setup));
+}
+
+std::vector<std::uint8_t>
+cellBytes(const SweepCell &c)
+{
+    SerialWriter w;
+    serializeSweepCell(c, w);
+    return w.take();
+}
+
+TEST(Engine, CellIsTheSweepSlot)
+{
+    SweepSpec spec;
+    spec.title = "one cell";
+    spec.workloads.push_back(workload(bindKernel(findKernel("crc"))));
+    SimConfig full = SimConfig::intMemMg();
+    full.runBudget = testBudget;
+    SimConfig sampled = full;
+    sampled.sampling.enabled = true;
+    SimConfig critpath = SimConfig::baseline();
+    critpath.runBudget = testBudget;
+    critpath.critpath = true;
+    spec.columns = {{"full", full}, {"sampled", sampled},
+                    {"critpath", critpath}};
+
+    ExperimentEngine engine(2);
+    SweepResult r = engine.sweep(spec);
+    const EngineWorkload &w = spec.workloads[0];
+    for (std::size_t col = 0; col < spec.columns.size(); ++col) {
+        const SweepColumn &c = spec.columns[col];
+        const SweepCell &slot = r.at(0, col);
+        ASSERT_EQ(slot.outcome, CellOutcome::Ok) << c.name;
+        ASSERT_TRUE(slot.timed) << c.name;
+        EXPECT_EQ(slot.sampledRun, col == 1) << c.name;
+        EXPECT_EQ(slot.critpath.present, col == 2) << c.name;
+        EXPECT_GT(slot.wallSeconds, 0.0) << c.name;
+
+        // The sweep already ran this cell: each call is a cache hit
+        // carrying the original compute, wall-clock included.
+        for (int rep = 0; rep < 2; ++rep) {
+            EngineCounters before = engine.counters();
+            SweepCell got = engine.cell(w, c);
+            EngineCounters after = engine.counters();
+            EXPECT_EQ(cellBytes(got), cellBytes(slot)) << c.name;
+            EXPECT_EQ(got.wallSeconds, slot.wallSeconds) << c.name;
+            EXPECT_EQ(after.runComputes, before.runComputes);
+            EXPECT_EQ(after.sampledComputes, before.sampledComputes);
+            EXPECT_EQ(after.runHits + after.sampledHits,
+                      before.runHits + before.sampledHits + 1)
+                << c.name;
+        }
+    }
 }
 
 TEST(Engine, ArtifactsComputedOncePerFingerprint)

@@ -158,8 +158,7 @@ TEST_P(Fuzz, RewriteEquivalence)
     // program).
     if (GetParam() % 4 == 0) {
         SimConfig cfg = SimConfig::intMemMg();
-        CoreStats st = runCore(prep.program, &prep.table, cfg.core,
-                               nullptr);
+        CoreStats st = runCell(prog, &prep, cfg, nullptr);
         EXPECT_EQ(st.committedWork, rr.dynWork);
     }
 }

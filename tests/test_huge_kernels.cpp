@@ -158,10 +158,10 @@ TEST(HugeStoreSets, ClearIntervalSweepShowsShadowIsNoLongerNeutral)
     ExperimentEngine eng(0);
     SimConfig cfg = SimConfig::intMemMg();
     cfg.core.ss.clearInterval = 4096;
-    CoreStats full = eng.cell(w, cfg);
+    CoreStats full = eng.cell(w, {"full", cfg}).stats;
     SimConfig sc = cfg;
     sc.sampling.enabled = true;
-    SampledStats on = eng.cellSampled(w, sc);
+    SampledStats on = eng.cell(w, {"sampled", sc}).sampled;
     EXPECT_GT(full.ordViolations, 1000u)
         << "huge sha no longer crosses clear intervals";
     double errOn = std::abs(on.est.ipc() - full.ipc()) / full.ipc();
@@ -178,10 +178,10 @@ TEST(HugeSampling, WarmThroughAccuracyAndFastForwardDominance)
     for (const BoundKernel &bk : bindAll(Scale::Huge)) {
         EngineWorkload w = workload(bk);
         SimConfig cfg = SimConfig::baseline();
-        double full = eng.cell(w, cfg).ipc();
+        double full = eng.cell(w, {"full", cfg}).stats.ipc();
         SimConfig sc = cfg;
         sc.sampling.enabled = true;
-        SampledStats s = eng.cellSampled(w, sc);
+        SampledStats s = eng.cell(w, {"sampled", sc}).sampled;
         ASSERT_GT(full, 0.0);
         EXPECT_FALSE(s.exact) << w.id;
         double err = std::abs(s.est.ipc() - full) / full;

@@ -38,14 +38,14 @@ TEST(LongSampling, AccuracyEnvelopeAndAggregateSpeedup)
     for (SimConfig cfg : {SimConfig::baseline(), SimConfig::intMemMg()}) {
         for (const BoundKernel &bk : bindAll(Scale::Long)) {
             EngineWorkload w = workload(bk);
-            TimedStats full = eng.cellTimed(w, cfg);
+            SweepCell full = eng.cell(w, {"full", cfg});
             SimConfig sc = cfg;
             sc.sampling.enabled = true;
-            TimedSampled samp = eng.cellSampledTimed(w, sc);
+            SweepCell samp = eng.cell(w, {"sampled", sc});
 
             ASSERT_GT(full.stats.ipc(), 0.0);
             double err =
-                std::abs(samp.stats.est.ipc() - full.stats.ipc()) /
+                std::abs(samp.sampled.est.ipc() - full.stats.ipc()) /
                 full.stats.ipc();
             // Quiet cells stay tight (measured worst 2.1%,
             // gzip/int-mem); anything beyond must announce itself
@@ -59,9 +59,9 @@ TEST(LongSampling, AccuracyEnvelopeAndAggregateSpeedup)
             // pinning the announced-error contract of the default
             // path — see docs/EXPERIMENTS.md.
             if (err > 0.025) {
-                EXPECT_LE(err, 2.5 * samp.stats.ipcRelCi95)
+                EXPECT_LE(err, 2.5 * samp.sampled.ipcRelCi95)
                     << w.id << "/" << cfg.name << " quiet error: sampled "
-                    << samp.stats.est.ipc() << " vs full "
+                    << samp.sampled.est.ipc() << " vs full "
                     << full.stats.ipc();
             }
             // Hard absolute backstop above the known reed outlier: a
@@ -69,11 +69,11 @@ TEST(LongSampling, AccuracyEnvelopeAndAggregateSpeedup)
             // regression that inflates both the error and its
             // self-reported CI must still trip.
             EXPECT_LE(err, 0.35) << w.id << "/" << cfg.name;
-            EXPECT_FALSE(samp.stats.exact)
+            EXPECT_FALSE(samp.sampled.exact)
                 << w.id << " degraded to exact: not a long workload?";
             errs.push_back(err);
-            fullWall += full.seconds;
-            sampledWall += samp.seconds;
+            fullWall += full.wallSeconds;
+            sampledWall += samp.wallSeconds;
         }
     }
     std::sort(errs.begin(), errs.end());
@@ -107,14 +107,14 @@ TEST(LongSampling, StoreBackedReedAccuracyAndCrossSessionDeterminism)
     EngineWorkload w =
         workload(bindKernel(findKernel("reed"), Scale::Long));
     SimConfig cfg = SimConfig::intMemMg();
-    double full = ExperimentEngine(1).cell(w, cfg).ipc();
+    double full = ExperimentEngine(1).cell(w, {"full", cfg}).stats.ipc();
     SimConfig sc = cfg;
     sc.sampling.enabled = true;
 
     ExperimentEngine cold(1);
     cold.setCheckpointStore(std::make_shared<CheckpointStore>(
         CheckpointStoreConfig{dir.string()}));
-    SampledStats a = cold.cellSampled(w, sc);
+    SampledStats a = cold.cell(w, {"sampled", sc}).sampled;
     EXPECT_LE(std::abs(a.est.ipc() - full) / full, 0.04)
         << "store-backed reed/int-mem error regressed (sampled "
         << a.est.ipc() << " vs full " << full << ")";
@@ -123,7 +123,7 @@ TEST(LongSampling, StoreBackedReedAccuracyAndCrossSessionDeterminism)
     ExperimentEngine warm(1);
     warm.setCheckpointStore(std::make_shared<CheckpointStore>(
         CheckpointStoreConfig{dir.string()}));
-    SampledStats b = warm.cellSampled(w, sc);
+    SampledStats b = warm.cell(w, {"sampled", sc}).sampled;
     EXPECT_GT(b.ckptRestores, 0u);
     EXPECT_EQ(b.ckptWritebacks, 0u);
     EXPECT_EQ(b.est, a.est);
@@ -150,14 +150,14 @@ TEST(LongSampling, StoreBackedWorstCellStaysInsideDocumentedBound)
     EngineWorkload w =
         workload(bindKernel(findKernel("gzip"), Scale::Long));
     SimConfig cfg = SimConfig::intMemMg();
-    double full = ExperimentEngine(1).cell(w, cfg).ipc();
+    double full = ExperimentEngine(1).cell(w, {"full", cfg}).stats.ipc();
     SimConfig sc = cfg;
     sc.sampling.enabled = true;
 
     ExperimentEngine eng(1);
     eng.setCheckpointStore(std::make_shared<CheckpointStore>(
         CheckpointStoreConfig{dir.string()}));
-    SampledStats s = eng.cellSampled(w, sc);
+    SampledStats s = eng.cell(w, {"sampled", sc}).sampled;
     EXPECT_FALSE(s.exact);
     EXPECT_LE(std::abs(s.est.ipc() - full) / full, 0.0221)
         << "store-enabled gzip/int-mem error beyond the documented "
@@ -176,10 +176,10 @@ TEST(LongSampling, WarmThroughRtrStaysAccurate)
     EngineWorkload w =
         workload(bindKernel(findKernel("rtr"), Scale::Long));
     SimConfig cfg = SimConfig::baseline();
-    double full = eng.cell(w, cfg).ipc();
+    double full = eng.cell(w, {"full", cfg}).stats.ipc();
     SimConfig sc = cfg;
     sc.sampling.enabled = true;
-    SampledStats s = eng.cellSampled(w, sc);
+    SampledStats s = eng.cell(w, {"sampled", sc}).sampled;
     EXPECT_FALSE(s.exact);
     EXPECT_LE(std::abs(s.est.ipc() - full) / full, 0.05)
         << "rtr@long/baseline warm-through error regressed (sampled "
@@ -194,9 +194,9 @@ TEST(LongSampling, SummarySharedAcrossScalesIsKeyedApart)
     ExperimentEngine eng(1);
     SimConfig sc = SimConfig::baseline();
     sc.sampling.enabled = true;
-    eng.cellSampled(workload(bindKernel(findKernel("bitcount"))), sc);
-    eng.cellSampled(
-        workload(bindKernel(findKernel("bitcount"), Scale::Long)), sc);
+    eng.cell(workload(bindKernel(findKernel("bitcount"))), {"sampled", sc});
+    eng.cell(workload(bindKernel(findKernel("bitcount"), Scale::Long)),
+             {"sampled", sc});
     EngineCounters c = eng.counters();
     EXPECT_EQ(c.summaryComputes, 2u);
     EXPECT_EQ(c.summaryHits, 0u);

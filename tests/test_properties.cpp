@@ -154,8 +154,9 @@ TEST(Determinism, SelectionIsStableAcrossRuns)
 TEST(Determinism, TimingIsReproducible)
 {
     BoundKernel bk = bindKernel(findKernel("crc"));
-    CoreStats a = runCore(*bk.program, nullptr, CoreConfig{}, bk.setup);
-    CoreStats b = runCore(*bk.program, nullptr, CoreConfig{}, bk.setup);
+    SimConfig cfg = SimConfig::baseline();
+    CoreStats a = runCell(*bk.program, nullptr, cfg, bk.setup);
+    CoreStats b = runCell(*bk.program, nullptr, cfg, bk.setup);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.committedWork, b.committedWork);
     EXPECT_EQ(a.mispredicts, b.mispredicts);

@@ -129,11 +129,11 @@ TEST(Sampling, WholeProgramIntervalBitIdentical)
              {SimConfig::baseline(), SimConfig::intMemMg()}) {
             ExperimentEngine eng(1);
             EngineWorkload w = workload(bk);
-            CoreStats full = eng.cell(w, cfg);
+            CoreStats full = eng.cell(w, {"full", cfg}).stats;
 
             SimConfig sc = sampled(cfg);
             sc.sampling.interval = 1ull << 40;
-            SampledStats ss = eng.cellSampled(w, sc);
+            SampledStats ss = eng.cell(w, {"sampled", sc}).sampled;
             EXPECT_TRUE(ss.exact) << name;
             EXPECT_EQ(ss.est, full) << name << "/" << cfg.name;
         }
@@ -152,8 +152,9 @@ TEST(Sampling, TierOneIpcWithinStatedBound)
     for (SimConfig cfg : {SimConfig::baseline(), SimConfig::intMemMg()}) {
         for (const BoundKernel &bk : bindAll()) {
             EngineWorkload w = workload(bk);
-            double full = eng.cell(w, cfg).ipc();
-            SampledStats ss = eng.cellSampled(w, sampled(cfg));
+            double full = eng.cell(w, {"full", cfg}).stats.ipc();
+            SampledStats ss =
+                eng.cell(w, {"sampled", sampled(cfg)}).sampled;
             ASSERT_GT(full, 0.0);
             double err = std::abs(ss.est.ipc() - full) / full;
             EXPECT_LE(err, 0.02)
@@ -201,7 +202,8 @@ TEST(Sampling, FastForwardSkipsMostWork)
     BoundKernel bk = bindKernel(findKernel("bitcount"), Scale::Long);
     ExperimentEngine eng(1);
     EngineWorkload w = workload(bk);
-    SampledStats ss = eng.cellSampled(w, sampled(SimConfig::baseline()));
+    SampledStats ss =
+        eng.cell(w, {"sampled", sampled(SimConfig::baseline())}).sampled;
     EXPECT_FALSE(ss.exact);
     EXPECT_GT(ss.ffWork, ss.totalWork / 3);
     EXPECT_LE(ss.detailedWork, (2 * ss.totalWork) / 3);
@@ -221,8 +223,8 @@ TEST(Sampling, SummarySharedAcrossConfigs)
     SimConfig a = sampled(SimConfig::baseline());
     SimConfig b = a;
     b.core.robSize = 64;
-    eng.cellSampled(w, a);
-    eng.cellSampled(w, b);
+    eng.cell(w, {"sampled", a});
+    eng.cell(w, {"sampled", b});
 
     EngineCounters c = eng.counters();
     EXPECT_EQ(c.summaryComputes, 1u);
@@ -428,4 +430,38 @@ TEST(ViolationShadow, SerializeRoundTripsAndTruncationLeavesItUnchanged)
         EXPECT_FALSE(c.deserialize(rc)) << n << " bytes";
         EXPECT_EQ(shadowBytes(c), before) << n << " bytes";
     }
+}
+
+TEST(ViolationShadow, RestoredShadowScansTheSameStoresAsTheLiveOne)
+{
+    // A woken seeded edge's store stays in the scan gate: its later
+    // writes overwrite the alias word, so they hide an older partner
+    // store of another dormant edge from that edge's load.
+    const Addr ld = 0x1000, ld2 = 0x1100, st = 0x2000, st2 = 0x2100;
+    const std::vector<std::pair<Addr, Addr>> seed = {{ld, st2},
+                                                     {ld2, st}};
+    ViolationShadow live;
+    live.seed(seed);
+    live.recordViolation(ld2, st);
+    ASSERT_EQ(live.dormantEdges(), 1u);
+
+    // The restore path of a warm record: a core seeded alike adopts
+    // the parsed section.
+    const std::vector<std::uint8_t> bytes = shadowBytes(live);
+    ViolationShadow parsed;
+    SerialReader r(bytes);
+    ASSERT_TRUE(parsed.deserialize(r));
+    ViolationShadow restored;
+    restored.seed(seed);
+    restored.adopt(std::move(parsed));
+    EXPECT_EQ(shadowBytes(restored), bytes);
+
+    for (ViolationShadow *sh : {&live, &restored}) {
+        sh->observe(memRec(st2, true, 0x800), 10);
+        sh->observe(memRec(st, true, 0x800), 11);
+        sh->observe(memRec(ld, false, 0x800), 12);
+    }
+    EXPECT_EQ(live.dormantEdges(), 1u);
+    EXPECT_EQ(restored.dormantEdges(), live.dormantEdges());
+    EXPECT_EQ(shadowBytes(restored), shadowBytes(live));
 }
