@@ -280,7 +280,9 @@ BM_EngineSweep(benchmark::State &state)
  * Warm-checkpoint store round trip on a long-tier kernel: one warm
  * record through serializeWarm -> CheckpointStore::store -> load ->
  * tryRestoreWarm, the path a sampled cell takes once per fast-forward
- * gap (writing in a cold session, restoring in a warm one). The MB
+ * gap (writing in a cold session, restoring in a warm one), with the
+ * memory section a delta against the post-setup image as a sampled
+ * run writes it. The MB
  * counter is the rate in decoded record megabytes (1e6 bytes) per
  * second through the whole cycle, record_KB the record's size; the
  * record lives in a scratch store under the temp directory.
@@ -291,10 +293,11 @@ BM_WarmRecordRoundTrip(benchmark::State &state)
     BoundKernel bk = bindKernel(findKernel("gap"), Scale::Long);
     CoreConfig cfg;
     Core src(*bk.program, nullptr, cfg);
-    bk.kernel->setup(src.oracle(), 0);
+    bk.setup(src.oracle());
+    const WarmBase base(src.oracle().memory());   // post-setup image
     src.fastForward(1000000, /*ipcEst=*/1.0);
     Core dst(*bk.program, nullptr, cfg);
-    bk.kernel->setup(dst.oracle(), 0);
+    bk.setup(dst.oracle());
 
     namespace fs = std::filesystem;
     fs::path dir = fs::temp_directory_path() /
@@ -307,10 +310,10 @@ BM_WarmRecordRoundTrip(benchmark::State &state)
         std::vector<std::uint8_t> loaded;
         for (auto _ : state) {
             SerialWriter w;
-            src.serializeWarm(w);
+            src.serializeWarm(w, base);
             store.store("warm|bench|p0", w.data());
             if (!store.load("warm|bench|p0", loaded) ||
-                !dst.tryRestoreWarm(loaded)) {
+                !dst.tryRestoreWarm(loaded, base)) {
                 state.SkipWithError("warm record did not round-trip");
                 break;
             }

@@ -6,9 +6,14 @@
  * the library. The whole space is one ExperimentEngine sweep: the
  * kernel is profiled once, every configuration cell runs in parallel
  * under `--jobs N`, and the cache counters show the dedup at work.
+ * With `--critpath` (or `--trace N` / `--whatif SPEC`) every row also
+ * names the category that dominates its critical path, and a what-if
+ * spec adds the analyzer's predicted cycles relative to the traced run.
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -17,6 +22,36 @@
 #include "workloads/suites.hh"
 
 using namespace mg;
+
+namespace {
+
+/** "<category> <share>" for the category holding the most
+ *  critical-path cycles of @p cp. */
+std::string
+topCategory(const CritPathSummary &cp)
+{
+    if (!cp.present || !cp.error.empty())
+        return "-";
+    int top = 0;
+    for (int c = 1; c < cpCatCount; ++c) {
+        if (cp.breakdown[c] > cp.breakdown[top])
+            top = c;
+    }
+    return strfmt("%s %s", cpCatName(static_cast<CpCat>(top)),
+                  fmtPct(cp.share(static_cast<CpCat>(top))).c_str());
+}
+
+/** Predicted what-if cycles over the traced run's cycles. */
+std::string
+whatIfRatio(const CritPathSummary &cp)
+{
+    if (!cp.present || !cp.error.empty() || !cp.actualCycles)
+        return "-";
+    return fmtDouble(static_cast<double>(cp.whatIfCycles) /
+                     static_cast<double>(cp.actualCycles), 3);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -72,18 +107,33 @@ main(int argc, char **argv)
         return 0;   // --dry-run: the plan has been printed
 
     const SweepCell &base = r.at(0, 0);
-    printf("baseline IPC %.3f over %llu cycles\n\n", base.stats.ipc(),
+    printf("baseline IPC %.3f over %llu cycles", base.stats.ipc(),
            static_cast<unsigned long long>(base.stats.cycles));
+    if (cli.critpath)
+        printf("; critical path %s", topCategory(base.critpath).c_str());
+    printf("\n\n");
 
+    const bool whatIf = cli.critpath && !cli.whatIf.empty();
+    std::vector<std::string> head = {"config", "templates", "coverage",
+                                     "IPC", "speedup"};
+    if (cli.critpath)
+        head.push_back("critical path");
+    if (whatIf)
+        head.push_back("what-if/actual");
     TextTable t;
-    t.header({"config", "templates", "coverage", "IPC", "speedup"});
+    t.header(head);
     for (std::size_t col = 1; col < r.columns.size(); ++col) {
         const SweepCell &c = r.at(0, col);
-        t.row({r.columns[col], strfmt("%llu",
-                                      static_cast<unsigned long long>(
-                                          c.templates)),
-               fmtPct(c.staticCoverage), fmtDouble(c.stats.ipc(), 3),
-               fmtDouble(r.speedup(0, col), 3)});
+        std::vector<std::string> row = {
+            r.columns[col],
+            strfmt("%llu", static_cast<unsigned long long>(c.templates)),
+            fmtPct(c.staticCoverage), fmtDouble(c.stats.ipc(), 3),
+            fmtDouble(r.speedup(0, col), 3)};
+        if (cli.critpath)
+            row.push_back(topCategory(c.critpath));
+        if (whatIf)
+            row.push_back(whatIfRatio(c.critpath));
+        t.row(row);
     }
     printf("%s\n", t.str().c_str());
     std::string outcomes = outcomeSummary(r);

@@ -463,7 +463,7 @@ Emulator::restore(const EmuCheckpoint &c)
 }
 
 void
-Emulator::restore(EmuCheckpoint &&c)
+Emulator::restore(EmuCheckpoint &&c, const Memory &base)
 {
     if (c.regs.size() != regs.size())
         fatal("checkpoint register file size %zu does not match the "
@@ -474,7 +474,7 @@ Emulator::restore(EmuCheckpoint &&c)
     count_ = c.slots;
     work_ = c.work;
     prof = std::move(c.profile);
-    mem = std::move(c.mem);
+    mem.rebase(base, std::move(c.mem));
 }
 
 namespace {
@@ -527,7 +527,7 @@ deserializeCheckpoint(SerialReader &r, EmuCheckpoint &c)
 }
 
 void
-Emulator::serializeState(SerialWriter &w) const
+Emulator::serializeState(SerialWriter &w, const Memory &base) const
 {
     // Same wire format as serializeCheckpoint(checkpoint(), w),
     // without materializing the deep-copied checkpoint.
@@ -539,7 +539,7 @@ Emulator::serializeState(SerialWriter &w) const
     w.u64(count_);
     w.u64(work_);
     serializeProfile(prof, w);
-    mem.serialize(w);
+    mem.serialize(w, base);
 }
 
 EmuResult

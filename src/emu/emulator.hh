@@ -125,13 +125,17 @@ class Emulator
     /** Restore state captured by checkpoint() (same program). */
     void restore(const EmuCheckpoint &c);
 
-    /** Move-restore: adopts the checkpoint's memory image without the
-     *  deep copy (warm-state restores discard the parsed temporary). */
-    void restore(EmuCheckpoint &&c);
+    /** Move-restore: adopts the checkpoint's pages without the deep
+     *  copy (warm-state restores discard the parsed temporary). With
+     *  a @p base, c.mem holds only the pages a serializeState against
+     *  that base wrote, and memory becomes @p base overlaid with
+     *  them (Memory::rebase). */
+    void restore(EmuCheckpoint &&c, const Memory &base = Memory());
 
     /** Append the live functional state to @p w — byte-identical to
-     *  serializing checkpoint(), minus the deep copies. */
-    void serializeState(SerialWriter &w) const;
+     *  serializing checkpoint(), minus the deep copies — with the
+     *  memory section a delta against @p base (Memory::serialize). */
+    void serializeState(SerialWriter &w, const Memory &base = Memory()) const;
 
     /** True when @p c can be restored into this emulator (restore()
      *  treats an incompatible checkpoint as fatal; deserialized ones

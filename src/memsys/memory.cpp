@@ -1,6 +1,7 @@
 #include "memsys/memory.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -79,15 +80,19 @@ Memory::readBlock(Addr addr, std::size_t len) const
 }
 
 void
-Memory::serialize(SerialWriter &w) const
+Memory::serialize(SerialWriter &w, const Memory &base) const
 {
     // Sorted page order: the byte stream (and any checksum over it)
     // is a canonical function of the image, not of hash-map layout.
     std::vector<Addr> idxs;
     idxs.reserve(pages.size());
     // mglint:allow(unordered-iter): keys copied then sorted below
-    for (const auto &[idx, page] : pages)
-        idxs.push_back(idx);
+    for (const auto &[idx, page] : pages) {
+        auto b = base.pages.find(idx);
+        if (b == base.pages.end() ||
+            std::memcmp(b->second->data(), page->data(), pageBytes) != 0)
+            idxs.push_back(idx);
+    }
     std::sort(idxs.begin(), idxs.end());
     w.u64(idxs.size());
     for (Addr idx : idxs) {
@@ -101,24 +106,66 @@ Memory::deserialize(SerialReader &r)
 {
     clear();
     std::uint64_t n = r.u64();
-    if (n > r.remaining() / pageBytes + 1) {
+    if (n > r.remaining() / (sizeof(Addr) + pageBytes)) {
         r.fail();
         return false;
     }
+    Addr prevIdx = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         Addr idx = r.u64();
         auto page = std::make_unique<Page>();
-        if (!r.bytes(page->data(), pageBytes)) {
+        if ((i > 0 && idx <= prevIdx) || !r.bytes(page->data(), pageBytes)) {
+            r.fail();
             clear();
             return false;
         }
-        pages[idx] = std::move(page);
+        pages.emplace(idx, std::move(page));
+        prevIdx = idx;
     }
     if (!r.ok()) {
         clear();
         return false;
     }
     return true;
+}
+
+void
+Memory::rebase(const Memory &base, Memory &&delta)
+{
+    // mglint:allow(unordered-iter): each page's fate is its own
+    for (auto it = pages.begin(); it != pages.end();) {
+        if (delta.pages.count(it->first)) {
+            ++it;               // replaced below
+            continue;
+        }
+        auto b = base.pages.find(it->first);
+        if (b == base.pages.end()) {
+            it = pages.erase(it);
+            continue;
+        }
+        if (std::memcmp(it->second->data(), b->second->data(),
+                        pageBytes) != 0)
+            *it->second = *b->second;
+        ++it;
+    }
+    // mglint:allow(unordered-iter): inserts by key, order-free
+    for (const auto &[idx, page] : base.pages) {
+        if (!delta.pages.count(idx) && !pages.count(idx))
+            pages.emplace(idx, std::make_unique<Page>(*page));
+    }
+    // mglint:allow(unordered-iter): inserts by key, order-free
+    for (auto &[idx, page] : delta.pages)
+        pages[idx] = std::move(page);
+    delta.clear();
+    invalidateCache();
+}
+
+std::uint64_t
+Memory::checksum() const
+{
+    SerialWriter w;
+    serialize(w);
+    return checksum64(w.data().data(), w.data().size());
 }
 
 } // namespace mg

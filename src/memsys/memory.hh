@@ -136,19 +136,38 @@ class Memory
         invalidateCache();
     }
 
-    /** Append the full image to @p w (sorted pages, raw bytes; the
-     *  checkpoint store compresses whole records, so pages need no
-     *  encoding of their own). */
-    void serialize(SerialWriter &w) const;
+    /**
+     * Append to @p w the pages of this image that are absent from
+     * @p base or differ from it: a count, then each page as its index
+     * and raw bytes, in ascending index order. Against an empty base
+     * that is the full image. (The checkpoint store compresses whole
+     * records, so pages need no encoding of their own.)
+     */
+    void serialize(SerialWriter &w, const Memory &base) const;
+    void serialize(SerialWriter &w) const { serialize(w, Memory()); }
 
     /**
-     * Replace the image with one written by serialize(). On any
-     * malformed input the reader's error latch trips and this memory
-     * is left *empty* (never partially populated); callers check
+     * Replace the image with the page list written by serialize(). A
+     * page count past the remaining bytes, or page indices that are
+     * not strictly ascending, trip the reader's error latch and leave
+     * this memory *empty* (never partially populated); callers check
      * @p r `.ok()` before trusting the result.
      * @return r.ok()
      */
     bool deserialize(SerialReader &r);
+
+    /**
+     * Make this image @p base with @p delta's pages laid over it (the
+     * inverse of serialize(w, base)): a resident page in neither is
+     * dropped, one only in @p base gets the base bytes back. Resident
+     * pages are reused in place, so only pages new to this image
+     * allocate.
+     */
+    void rebase(const Memory &base, Memory &&delta);
+
+    /** checksum64 of the full serialized image (the tag a delta
+     *  carries to name its base). */
+    std::uint64_t checksum() const;
 
   private:
     using Page = std::array<std::uint8_t, pageBytes>;

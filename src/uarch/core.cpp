@@ -1260,15 +1260,16 @@ Core::fastForward(std::uint64_t workTarget, double ipcEst)
 
 /** Layout version of serializeWarm records (independent of the store's
  *  file format version: this one tracks the core's state shape). */
-static constexpr std::uint32_t warmStateVersion = 2;
+static constexpr std::uint32_t warmStateVersion = 3;
 
 void
-Core::serializeWarm(SerialWriter &w) const
+Core::serializeWarm(SerialWriter &w, const WarmBase &base) const
 {
     w.u32(warmStateVersion);
+    w.u64(base.tag);
     w.u64(now);
     w.u64(nextSeq);
-    emu.serializeState(w);
+    emu.serializeState(w, base.mem);
     mem.exportState().serialize(w);
     bp.exportState().serialize(w);
     ss.exportState().serialize(w);
@@ -1279,7 +1280,8 @@ Core::serializeWarm(SerialWriter &w) const
 }
 
 bool
-Core::tryRestoreWarm(const std::vector<std::uint8_t> &bytes)
+Core::tryRestoreWarm(const std::vector<std::uint8_t> &bytes,
+                     const WarmBase &base)
 {
     if (!pipelineEmpty())
         panic("tryRestoreWarm with a non-empty pipeline");
@@ -1288,11 +1290,11 @@ Core::tryRestoreWarm(const std::vector<std::uint8_t> &bytes)
     // record must leave the core exactly as it was (the caller then
     // warms through functionally and the run stays correct).
     SerialReader r(bytes);
-    if (r.u32() != warmStateVersion)
+    if (r.u32() != warmStateVersion || r.u64() != base.tag)
         return false;
     std::uint64_t now_ = r.u64();
     std::uint64_t nextSeq_ = r.u64();
-    EmuCheckpoint ck;
+    EmuCheckpoint ck;           // ck.mem: the pages that differ from base
     if (!deserializeCheckpoint(r, ck))
         return false;
     HierarchyState hs;
@@ -1312,7 +1314,7 @@ Core::tryRestoreWarm(const std::vector<std::uint8_t> &bytes)
     if (ck.work < emu.dynWork() || now_ < now)
         return false;
 
-    emu.restore(std::move(ck));
+    emu.restore(std::move(ck), base.mem);
     now = now_;
     nextSeq = nextSeq_;
     mem.adoptState(hs);

@@ -48,6 +48,22 @@ namespace mg {
 
 class ViolationShadow;
 
+/**
+ * The memory image a warm record's memory section is a delta against
+ * (Core::serializeWarm): the post-setup image a store-backed sampled
+ * run captures once, before it executes anything, tagged with its
+ * Memory::checksum(). A default-constructed base is empty, so the
+ * delta is the full image.
+ */
+struct WarmBase
+{
+    Memory mem;
+    std::uint64_t tag = Memory().checksum();
+
+    WarmBase() = default;
+    explicit WarmBase(const Memory &m) : mem(m), tag(m.checksum()) {}
+};
+
 /** Machine configuration (defaults = the paper's baseline). */
 struct CoreConfig
 {
@@ -284,19 +300,22 @@ class Core
 
     /** Serialize the complete warm state at a drained-pipeline
      *  fast-forward boundary (the warm-checkpoint store's record):
-     *  clocks, the functional oracle, the trained
+     *  @p base's tag, clocks, the functional oracle with only the
+     *  memory pages that differ from @p base, the trained
      *  hierarchy/predictor/store-set contents, and the shadow's
      *  section (empty without a shadow). */
-    void serializeWarm(SerialWriter &w) const;
+    void serializeWarm(SerialWriter &w, const WarmBase &base) const;
 
     /** Parse + validate a serializeWarm record and, only if every
-     *  piece is well-formed and compatible with this configuration,
-     *  atomically adopt it (never partially mutates on failure; the
-     *  shadow section goes to the attached shadow, if any, through
-     *  ViolationShadow::adopt). The
-     *  pipeline must be empty. Like fastForward, a restore leaves
-     *  stats() untouched but the clock. */
-    bool tryRestoreWarm(const std::vector<std::uint8_t> &bytes);
+     *  piece is well-formed, compatible with this configuration, and
+     *  written against a base with @p base's tag, atomically adopt it
+     *  (never partially mutates on failure; the shadow section goes
+     *  to the attached shadow, if any, through ViolationShadow::adopt).
+     *  Memory becomes @p base plus the record's pages. The pipeline
+     *  must be empty. Like fastForward, a restore leaves stats()
+     *  untouched but the clock. */
+    bool tryRestoreWarm(const std::vector<std::uint8_t> &bytes,
+                        const WarmBase &base);
 
     /** Access the oracle (for architectural state checks in tests). */
     Emulator &oracle() { return emu; }

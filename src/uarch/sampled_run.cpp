@@ -472,6 +472,11 @@ sampledRun(Core &core, const SamplingParams &sp, const SampleSummary &sum,
         return out;
     }
 
+    // Warm records carry memory as a delta against the image as it
+    // stands now, before anything has executed: program + setup.
+    const WarmBase base =
+        warmStore ? WarmBase(emu.memory()) : WarmBase();
+
     // Exactly-measured cold prefix: the startup transient (cold
     // caches, bus backlog, queue fill) is a large, unrepresentative
     // fraction of a short run; extrapolating any sample of it is the
@@ -570,13 +575,13 @@ sampledRun(Core &core, const SamplingParams &sp, const SampleSummary &sum,
             // fall through to warming and write back the result.
             if (warmStore &&
                 warmStore->loadWarm(ch.start, seedHash, wsBytes) &&
-                core.tryRestoreWarm(wsBytes)) {
+                core.tryRestoreWarm(wsBytes, base)) {
                 ++out.ckptRestores;
             } else {
                 core.fastForward(warmStart, lastIpc);
                 if (warmStore && !emu.halted()) {
                     SerialWriter w;
-                    core.serializeWarm(w);
+                    core.serializeWarm(w, base);
                     warmStore->storeWarm(ch.start, seedHash, w.data());
                     ++out.ckptWritebacks;
                 }

@@ -15,6 +15,24 @@ maskOf(std::uint32_t n)
     return (n != 0 && (n & (n - 1)) == 0) ? n - 1 : 0;
 }
 
+/** Serialized size of one SsitEntryState / LfstEntryState. */
+constexpr std::size_t ssitEntryBytes = 4 + 4;
+constexpr std::size_t lfstEntryBytes = 4 + 8 + 8;
+
+/** True when @p sparse's indices ascend strictly below @p size. */
+template <typename E>
+bool
+ascendingBelow(const std::vector<E> &sparse, std::uint32_t size)
+{
+    std::uint64_t next = 0;   // lowest index the next entry may take
+    for (const E &e : sparse) {
+        if (e.index < next || e.index >= size)
+            return false;
+        next = std::uint64_t(e.index) + 1;
+    }
+    return true;
+}
+
 } // namespace
 
 StoreSets::StoreSets(const StoreSetsConfig &c) : cfg(c)
@@ -110,11 +128,19 @@ StoreSets::recordViolation(Addr loadPc, Addr storePc)
 void
 StoreSetsState::serialize(SerialWriter &w) const
 {
+    w.u32(ssitEntries);
+    w.u32(lfstEntries);
     w.u64(ssit.size());
-    for (std::int32_t v : ssit)
-        w.u32(static_cast<std::uint32_t>(v));
-    w.vec(lfst);
-    w.vec(lfstPc);
+    for (const SsitEntryState &e : ssit) {
+        w.u32(e.index);
+        w.u32(static_cast<std::uint32_t>(e.set));
+    }
+    w.u64(lfst.size());
+    for (const LfstEntryState &e : lfst) {
+        w.u32(e.index);
+        w.u64(e.seq);
+        w.u64(e.pc);
+    }
     w.u64(accesses);
     w.u64(violations);
     w.u32(static_cast<std::uint32_t>(nextSet));
@@ -123,16 +149,29 @@ StoreSetsState::serialize(SerialWriter &w) const
 bool
 StoreSetsState::deserialize(SerialReader &r)
 {
+    ssitEntries = r.u32();
+    lfstEntries = r.u32();
     std::uint64_t n = r.u64();
-    if (n > r.remaining() / 4) {
+    if (n > r.remaining() / ssitEntryBytes) {
         r.fail();
         return false;
     }
     ssit.resize(static_cast<std::size_t>(n));
-    for (std::int32_t &v : ssit)
-        v = static_cast<std::int32_t>(r.u32());
-    lfst = r.vec<std::uint64_t>();
-    lfstPc = r.vec<Addr>();
+    for (SsitEntryState &e : ssit) {
+        e.index = r.u32();
+        e.set = static_cast<std::int32_t>(r.u32());
+    }
+    n = r.u64();
+    if (n > r.remaining() / lfstEntryBytes) {
+        r.fail();
+        return false;
+    }
+    lfst.resize(static_cast<std::size_t>(n));
+    for (LfstEntryState &e : lfst) {
+        e.index = r.u32();
+        e.seq = r.u64();
+        e.pc = r.u64();
+    }
     accesses = r.u64();
     violations = r.u64();
     nextSet = static_cast<std::int32_t>(r.u32());
@@ -143,9 +182,17 @@ StoreSetsState
 StoreSets::exportState() const
 {
     StoreSetsState s;
-    s.ssit = ssit;
-    s.lfst = lfst;
-    s.lfstPc = lfstPc;
+    s.ssitEntries = static_cast<std::uint32_t>(ssit.size());
+    s.lfstEntries = static_cast<std::uint32_t>(lfst.size());
+    for (std::size_t i = 0; i < ssit.size(); ++i) {
+        if (ssit[i] != noSet)
+            s.ssit.push_back({static_cast<std::uint32_t>(i), ssit[i]});
+    }
+    for (std::size_t i = 0; i < lfst.size(); ++i) {
+        if (lfst[i] || lfstPc[i])
+            s.lfst.push_back(
+                {static_cast<std::uint32_t>(i), lfst[i], lfstPc[i]});
+    }
     s.accesses = accesses;
     s.violations = violations_;
     s.nextSet = nextSet;
@@ -155,8 +202,19 @@ StoreSets::exportState() const
 bool
 StoreSets::stateCompatible(const StoreSetsState &s) const
 {
-    return s.ssit.size() == ssit.size() && s.lfst.size() == lfst.size() &&
-        s.lfstPc.size() == lfstPc.size();
+    if (s.ssitEntries != ssit.size() || s.lfstEntries != lfst.size() ||
+        !ascendingBelow(s.ssit, s.ssitEntries) ||
+        !ascendingBelow(s.lfst, s.lfstEntries))
+        return false;
+    for (const SsitEntryState &e : s.ssit) {
+        if (e.set == noSet)
+            return false;
+    }
+    for (const LfstEntryState &e : s.lfst) {
+        if (!e.seq && !e.pc)
+            return false;
+    }
+    return true;
 }
 
 void
@@ -164,9 +222,15 @@ StoreSets::adoptState(const StoreSetsState &s)
 {
     if (!stateCompatible(s))
         panic("store sets: adoptState of incompatible state");
-    ssit = s.ssit;
-    lfst = s.lfst;
-    lfstPc = s.lfstPc;
+    std::fill(ssit.begin(), ssit.end(), noSet);
+    std::fill(lfst.begin(), lfst.end(), 0);
+    std::fill(lfstPc.begin(), lfstPc.end(), 0);
+    for (const SsitEntryState &e : s.ssit)
+        ssit[e.index] = e.set;
+    for (const LfstEntryState &e : s.lfst) {
+        lfst[e.index] = e.seq;
+        lfstPc[e.index] = e.pc;
+    }
     accesses = s.accesses;
     violations_ = s.violations;
     nextSet = s.nextSet;

@@ -28,16 +28,35 @@ struct StoreSetsConfig
     std::uint64_t clearInterval = 262144;
 };
 
+/** One SSIT entry holding a store set (index into the table). */
+struct SsitEntryState
+{
+    std::uint32_t index = 0;
+    std::int32_t set = 0;
+};
+
+/** One LFST slot with a live store (index into the table). */
+struct LfstEntryState
+{
+    std::uint32_t index = 0;
+    std::uint64_t seq = 0;
+    Addr pc = 0;
+};
+
 /**
- * Complete trained state of the predictor. LFST sequence numbers
- * reference the core's global sequence space, so the warm-checkpoint
- * record that carries this state also carries the core's nextSeq.
+ * Complete trained state of the predictor: the table sizes, and only
+ * the entries away from their reset value (an SSIT entry holding a
+ * set; an LFST slot with a nonzero sequence number or PC), each list
+ * in ascending index. LFST sequence numbers reference the core's
+ * global sequence space, so the warm-checkpoint record that carries
+ * this state also carries the core's nextSeq.
  */
 struct StoreSetsState
 {
-    std::vector<std::int32_t> ssit;
-    std::vector<std::uint64_t> lfst;
-    std::vector<Addr> lfstPc;
+    std::uint32_t ssitEntries = 0;
+    std::uint32_t lfstEntries = 0;
+    std::vector<SsitEntryState> ssit;
+    std::vector<LfstEntryState> lfst;
     std::uint64_t accesses = 0;
     std::uint64_t violations = 0;
     std::int32_t nextSet = 0;
@@ -85,10 +104,12 @@ class StoreSets
     /** Snapshot the full trained state (checkpoint store). */
     StoreSetsState exportState() const;
 
-    /** @return true when @p s matches this predictor's table sizes. */
+    /** @return true when @p s matches this predictor's table sizes
+     *  and its entry lists are well formed: ascending indices inside
+     *  the tables, no entry at its reset value. */
     bool stateCompatible(const StoreSetsState &s) const;
 
-    /** Replace the trained state with @p s (requires stateCompatible). */
+    /** Reset the tables, then apply @p s (requires stateCompatible). */
     void adoptState(const StoreSetsState &s);
 
   private:

@@ -29,8 +29,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -205,29 +207,43 @@ writeFormat2Record(const fs::path &file, const std::string &key,
               static_cast<std::streamsize>(w.size()));
 }
 
+/** Serialized size of one memory page: its index, then its bytes. */
+constexpr std::size_t pageRecordBytes = 8 + Memory::pageBytes;
+
 /** A Core::serializeWarm record taken apart into its sections, so a
  *  test can damage one section and put the record back together. */
 struct WarmRecord
 {
     std::uint32_t version = 0;
+    std::uint64_t baseTag = 0;
     std::uint64_t now = 0;
     std::uint64_t nextSeq = 0;
-    EmuCheckpoint ck;
+    EmuCheckpoint ck;                 ///< ck.mem: the delta pages
     HierarchyState mem;
     BranchPredState bp;
     StoreSetsState ss;
     std::vector<std::uint8_t> rest;   ///< violation-shadow sections
+    std::size_t pagesAt = 0;          ///< offset of the page count
+    std::size_t ssBytes = 0;          ///< size of the store-set section
 
     bool
     parse(const std::vector<std::uint8_t> &bytes)
     {
         SerialReader r(bytes);
         version = r.u32();
+        baseTag = r.u64();
         now = r.u64();
         nextSeq = r.u64();
-        if (!deserializeCheckpoint(r, ck) || !mem.deserialize(r) ||
-            !bp.deserialize(r) || !ss.deserialize(r))
+        if (!deserializeCheckpoint(r, ck))
             return false;
+        // The page list closes the oracle section.
+        pagesAt = r.pos() - 8 - ck.mem.residentPages() * pageRecordBytes;
+        if (!mem.deserialize(r) || !bp.deserialize(r))
+            return false;
+        std::size_t ssAt = r.pos();
+        if (!ss.deserialize(r))
+            return false;
+        ssBytes = r.pos() - ssAt;
         rest.assign(bytes.begin() + static_cast<std::ptrdiff_t>(r.pos()),
                     bytes.end());
         return r.ok();
@@ -238,6 +254,7 @@ struct WarmRecord
     {
         SerialWriter w;
         w.u32(version);
+        w.u64(baseTag);
         w.u64(now);
         w.u64(nextSeq);
         serializeCheckpoint(ck, w);
@@ -254,7 +271,7 @@ std::unique_ptr<Core>
 warmedCore(const BoundKernel &bk, std::uint64_t work)
 {
     auto core = std::make_unique<Core>(*bk.program, nullptr, CoreConfig{});
-    bk.kernel->setup(core->oracle(), 0);
+    bk.setup(core->oracle());
     core->fastForward(work, /*ipcEst=*/1.0);
     return core;
 }
@@ -285,11 +302,54 @@ struct FirstWriteback : WarmStoreIf
 };
 
 std::vector<std::uint8_t>
-warmBytes(const Core &core)
+warmBytes(const Core &core, const WarmBase &base)
 {
     SerialWriter w;
-    core.serializeWarm(w);
+    core.serializeWarm(w, base);
     return w.take();
+}
+
+/** The post-setup memory image of @p bk, the base a sampled run's
+ *  warm records are written against. */
+WarmBase
+postSetupBase(const BoundKernel &bk)
+{
+    Emulator e(*bk.program);
+    bk.setup(e);
+    return WarmBase(e.memory());
+}
+
+/** @p m's pages by index, read back from its full serialized image. */
+std::map<Addr, std::vector<std::uint8_t>>
+pagesOf(const Memory &m)
+{
+    SerialWriter w;
+    m.serialize(w);
+    SerialReader r(w.data());
+    std::map<Addr, std::vector<std::uint8_t>> out;
+    for (std::uint64_t n = r.u64(); n > 0; --n) {
+        Addr idx = r.u64();
+        std::vector<std::uint8_t> &page = out[idx];
+        page.resize(Memory::pageBytes);
+        r.bytes(page.data(), page.size());
+    }
+    EXPECT_TRUE(r.ok());
+    return out;
+}
+
+/** Overwrite the little-endian u64 at @p off of @p b. */
+void
+putU64(std::vector<std::uint8_t> &b, std::size_t off, std::uint64_t v)
+{
+    std::memcpy(b.data() + off, &v, sizeof v);
+}
+
+std::uint64_t
+getU64(const std::vector<std::uint8_t> &b, std::size_t off)
+{
+    std::uint64_t v;
+    std::memcpy(&v, b.data() + off, sizeof v);
+    return v;
 }
 
 } // namespace
@@ -520,33 +580,185 @@ TEST(StoreSerial, StoreSetsRoundTripAndShapeGuard)
     StoreSets ss2;
     ASSERT_TRUE(ss2.stateCompatible(rt));
     ss2.adoptState(rt);
+    // Adopted state is bit-equal on re-export, and only the entries
+    // away from their reset value travel: five PCs hold a set, one
+    // LFST slot a store.
+    SerialWriter w2;
+    ss2.exportState().serialize(w2);
+    EXPECT_EQ(w.data(), w2.data());
+    EXPECT_EQ(rt.ssit.size(), 5u);
+    EXPECT_EQ(rt.lfst.size(), 1u);
     // The merged set's ordering behavior survives the round trip.
     EXPECT_EQ(ss2.dispatchLoad(0x100), 41u);
     EXPECT_EQ(ss2.violations(), 3u);
 
     StoreSetsState bad = rt;
-    bad.ssit.resize(bad.ssit.size() - 1);
-    EXPECT_FALSE(StoreSets().stateCompatible(bad));
+    bad.ssitEntries -= 1;
+    EXPECT_FALSE(StoreSets().stateCompatible(bad)) << "SSIT size";
+    bad = rt;
+    bad.lfstEntries *= 2;
+    EXPECT_FALSE(StoreSets().stateCompatible(bad)) << "LFST size";
 }
 
 TEST(StoreSerial, WarmRecordRoundTripsBitIdentically)
 {
     BoundKernel bk = bindKernel(findKernel("gzip"));
+    const WarmBase base = postSetupBase(bk);
     auto src = warmedCore(bk, 20000);
-    std::vector<std::uint8_t> rec = warmBytes(*src);
+    std::vector<std::uint8_t> rec = warmBytes(*src, base);
 
-    // The sections reassemble into the same bytes, and the sparse
-    // lists are really sparse.
+    // The sections reassemble into the same bytes, the sparse lists
+    // are really sparse, and memory travels as a strict subset of
+    // the resident pages.
     WarmRecord parts;
     ASSERT_TRUE(parts.parse(rec));
     EXPECT_EQ(parts.bytes(), rec);
+    EXPECT_EQ(parts.baseTag, base.tag);
     EXPECT_FALSE(parts.mem.l2.lines.empty());
     EXPECT_FALSE(parts.bp.btb.empty());
+    EXPECT_GT(parts.ck.mem.residentPages(), 0u);
+    EXPECT_LT(parts.ck.mem.residentPages(),
+              src->oracle().memory().residentPages());
 
     // export -> serialize -> deserialize -> adopt -> export is exact.
     auto dst = warmedCore(bk, 5000);
-    ASSERT_TRUE(dst->tryRestoreWarm(rec));
-    EXPECT_EQ(warmBytes(*dst), rec);
+    ASSERT_TRUE(dst->tryRestoreWarm(rec, base));
+    EXPECT_EQ(warmBytes(*dst, base), rec);
+}
+
+TEST(StoreSerial, DeltaRestoreRebuildsBasePlusRecordPages)
+{
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    const WarmBase base = postSetupBase(bk);
+    auto a = warmedCore(bk, 20000);
+    const std::vector<std::uint8_t> rec = warmBytes(*a, base);
+    const auto basePages = pagesOf(base.mem);
+    const auto aPages = pagesOf(a->oracle().memory());
+
+    // A base page A changed, and one A left at its base bytes.
+    std::vector<Addr> changed, kept;
+    for (const auto &[idx, bytes] : basePages) {
+        ASSERT_TRUE(aPages.count(idx));
+        (aPages.at(idx) == bytes ? kept : changed).push_back(idx);
+    }
+    ASSERT_FALSE(changed.empty());
+    ASSERT_FALSE(kept.empty());
+
+    // B dirties what the record does not hold: a page neither the
+    // base nor A has, and a base page A left alone. It also puts one
+    // of A's changed pages back to its base bytes.
+    auto b = warmedCore(bk, 5000);
+    Memory &bm = b->oracle().memory();
+    const Addr stray = (aPages.rbegin()->first + 16) * Memory::pageBytes;
+    bm.write(stray, 0xfeedull, 8);
+    const Addr keptAt = kept.front() * Memory::pageBytes + 8;
+    bm.write(keptAt, ~bm.read(keptAt, 8), 8);
+    bm.writeBlock(changed.front() * Memory::pageBytes,
+                  basePages.at(changed.front()).data(), Memory::pageBytes);
+
+    // Restored memory is base plus the record's pages: A's image
+    // exactly, so B now writes A's record byte for byte.
+    ASSERT_TRUE(b->tryRestoreWarm(rec, base));
+    EXPECT_EQ(warmBytes(*b, base), rec);
+    EXPECT_EQ(pagesOf(bm), aPages);
+    EXPECT_EQ(bm.read(stray, 8), 0u);
+}
+
+TEST(StoreSerial, MismatchedBaseLeavesCoreUntouched)
+{
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    const WarmBase base = postSetupBase(bk);
+    const std::vector<std::uint8_t> rec =
+        warmBytes(*warmedCore(bk, 20000), base);
+
+    // One byte of difference makes another base, with another tag.
+    Memory otherImage = base.mem;
+    const Addr at = pagesOf(base.mem).begin()->first * Memory::pageBytes;
+    otherImage.writeByte(at, otherImage.readByte(at) ^ 1);
+    const WarmBase other(otherImage);
+    ASSERT_NE(other.tag, base.tag);
+
+    auto dst = warmedCore(bk, 5000);
+    const std::vector<std::uint8_t> before = warmBytes(*dst, base);
+    EXPECT_FALSE(dst->tryRestoreWarm(rec, other));
+    EXPECT_EQ(warmBytes(*dst, base), before);
+    EXPECT_FALSE(dst->tryRestoreWarm(rec, WarmBase()));
+    EXPECT_EQ(warmBytes(*dst, base), before);
+    EXPECT_TRUE(dst->tryRestoreWarm(rec, base));
+}
+
+TEST(StoreSerial, MalformedPageListLeavesCoreUntouched)
+{
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    const WarmBase base = postSetupBase(bk);
+    const std::vector<std::uint8_t> rec =
+        warmBytes(*warmedCore(bk, 20000), base);
+    WarmRecord good;
+    ASSERT_TRUE(good.parse(rec));
+    ASSERT_GE(good.ck.mem.residentPages(), 2u);
+    const std::size_t first = good.pagesAt + 8;     // first page's index
+    const std::size_t second = first + pageRecordBytes;
+
+    auto dst = warmedCore(bk, 5000);
+    const std::vector<std::uint8_t> before = warmBytes(*dst, base);
+    auto refused = [&](const std::vector<std::uint8_t> &bad,
+                       const char *what) {
+        EXPECT_FALSE(dst->tryRestoreWarm(bad, base)) << what;
+        EXPECT_EQ(warmBytes(*dst, base), before) << what;
+    };
+    {
+        std::vector<std::uint8_t> bad = rec;
+        putU64(bad, first, getU64(rec, second));
+        putU64(bad, second, getU64(rec, first));
+        refused(bad, "descending page index");
+    }
+    {
+        std::vector<std::uint8_t> bad = rec;
+        putU64(bad, second, getU64(rec, first));
+        refused(bad, "repeated page index");
+    }
+    {
+        std::vector<std::uint8_t> bad = rec;
+        putU64(bad, good.pagesAt,
+               (rec.size() - first) / pageRecordBytes + 1);
+        refused(bad, "page count past the remaining bytes");
+    }
+    EXPECT_TRUE(dst->tryRestoreWarm(rec, base));
+}
+
+TEST(StoreSerial, LongRecordCarriesOnlyChangedPages)
+{
+    // Long-tier kernels after a million work units: the record's page
+    // list is exactly the pages that are new or differ from the
+    // post-setup image. gap's image is one page, which it writes;
+    // rtr's is 149 pages of tables it only reads, so its list is
+    // empty. An untrained predictor's store-set section is the
+    // fixed-size header alone.
+    // Table sizes, two empty lists, and the three counters.
+    constexpr std::size_t ssHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8 + 4;
+    SerialWriter fresh;
+    StoreSets().exportState().serialize(fresh);
+    ASSERT_EQ(fresh.size(), ssHeaderBytes);
+
+    for (const char *name : {"gap", "rtr"}) {
+        BoundKernel bk = bindKernel(findKernel(name), Scale::Long);
+        const WarmBase base = postSetupBase(bk);
+        auto core = warmedCore(bk, 1000000);
+        WarmRecord parts;
+        ASSERT_TRUE(parts.parse(warmBytes(*core, base))) << name;
+
+        const auto basePages = pagesOf(base.mem);
+        const auto nowPages = pagesOf(core->oracle().memory());
+        std::size_t differing = 0;
+        for (const auto &[idx, bytes] : nowPages) {
+            auto it = basePages.find(idx);
+            differing += it == basePages.end() || it->second != bytes;
+        }
+        EXPECT_EQ(parts.ck.mem.residentPages(), differing) << name;
+        EXPECT_EQ(differing, std::string(name) == "gap" ? 1u : 0u)
+            << name << " of " << nowPages.size() << " pages";
+        EXPECT_EQ(parts.ssBytes, ssHeaderBytes) << name;
+    }
 }
 
 TEST(StoreSerial, SeededWarmRecordMatchesGolden)
@@ -554,9 +766,9 @@ TEST(StoreSerial, SeededWarmRecordMatchesGolden)
     // The first record a seeded sampled sha run writes back: the
     // seed is the run's own discovered violation set, so the record
     // carries a shadow section with both woken and dormant edges and
-    // RAW alias entries. Its checksum pins the record layout and the
-    // state it captures; a change here must come with a
-    // warmStateVersion bump.
+    // RAW alias entries, and store-set entries. Its checksum pins the
+    // record layout and the state it captures; a change here must
+    // come with a warmStateVersion bump.
     BoundKernel bk = bindKernel(findKernel("sha"));
     const SamplingParams sp = sampledSmall(SimConfig{}).sampling;
     SampleSummary sum =
@@ -573,25 +785,33 @@ TEST(StoreSerial, SeededWarmRecordMatchesGolden)
     WarmRecord parts;
     ASSERT_TRUE(parts.parse(store.bytes));
     EXPECT_GT(parts.rest.size(), 16u) << "empty shadow section";
+    EXPECT_FALSE(parts.ss.ssit.empty()) << "no store-set entries";
+    EXPECT_EQ(parts.baseTag, postSetupBase(bk).tag);
     EXPECT_EQ(store.pos, 4800u);
-    EXPECT_EQ(store.bytes.size(), 45661u);
+    EXPECT_EQ(store.bytes.size(), 12941u);
     EXPECT_EQ(checksum64(store.bytes.data(), store.bytes.size()),
-              0xd45375b3564cd21cull);
+              0x062126bccc339bc9ull);
 }
 
 TEST(StoreSerial, MalformedSparseStateLeavesCoreUntouched)
 {
     BoundKernel bk = bindKernel(findKernel("gzip"));
+    const WarmBase base = postSetupBase(bk);
     WarmRecord good;
-    ASSERT_TRUE(good.parse(warmBytes(*warmedCore(bk, 20000))));
+    ASSERT_TRUE(good.parse(warmBytes(*warmedCore(bk, 20000), base)));
     ASSERT_GE(good.mem.l1d.lines.size(), 2u);
     ASSERT_GE(good.bp.btb.size(), 2u);
+    // A shadowless warm-through trains no store sets; give the record
+    // well-formed entries to damage.
+    ASSERT_TRUE(good.ss.ssit.empty() && good.ss.lfst.empty());
+    good.ss.ssit = {{5, 0}, {9, 1}};
+    good.ss.lfst = {{0, 41, 0x200}, {1, 0, 0x300}};
 
     auto dst = warmedCore(bk, 5000);
-    const std::vector<std::uint8_t> before = warmBytes(*dst);
+    const std::vector<std::uint8_t> before = warmBytes(*dst, base);
     auto refused = [&](const WarmRecord &bad, const char *what) {
-        EXPECT_FALSE(dst->tryRestoreWarm(bad.bytes())) << what;
-        EXPECT_EQ(warmBytes(*dst), before) << what;
+        EXPECT_FALSE(dst->tryRestoreWarm(bad.bytes(), base)) << what;
+        EXPECT_EQ(warmBytes(*dst, base), before) << what;
     };
     {
         WarmRecord bad = good;
@@ -624,8 +844,49 @@ TEST(StoreSerial, MalformedSparseStateLeavesCoreUntouched)
         bad.bp.btb[0].valid = 0;
         refused(bad, "live BTB entry without its valid bit");
     }
-    // The undamaged record still restores.
-    EXPECT_TRUE(dst->tryRestoreWarm(good.bytes()));
+    {
+        WarmRecord bad = good;
+        bad.ss.ssit.back().index = bad.ss.ssitEntries;
+        refused(bad, "SSIT index past the array");
+    }
+    {
+        WarmRecord bad = good;
+        bad.ss.lfst.back().index = bad.ss.lfstEntries;
+        refused(bad, "LFST index past the array");
+    }
+    {
+        WarmRecord bad = good;
+        std::swap(bad.ss.ssit[0], bad.ss.ssit[1]);
+        refused(bad, "descending SSIT index");
+    }
+    {
+        WarmRecord bad = good;
+        std::swap(bad.ss.lfst[0], bad.ss.lfst[1]);
+        refused(bad, "descending LFST index");
+    }
+    {
+        WarmRecord bad = good;
+        bad.ss.ssit[1].index = bad.ss.ssit[0].index;
+        refused(bad, "repeated SSIT index");
+    }
+    {
+        WarmRecord bad = good;
+        bad.ss.lfst[1].index = bad.ss.lfst[0].index;
+        refused(bad, "repeated LFST index");
+    }
+    {
+        WarmRecord bad = good;
+        bad.ss.ssit[0].set = -1;
+        refused(bad, "SSIT entry at its reset value");
+    }
+    {
+        WarmRecord bad = good;
+        bad.ss.lfst[1].pc = 0;
+        refused(bad, "LFST slot at its reset value");
+    }
+    // The undamaged record still restores, store-set entries and all.
+    ASSERT_TRUE(dst->tryRestoreWarm(good.bytes(), base));
+    EXPECT_EQ(warmBytes(*dst, base), good.bytes());
 }
 
 // ----------------------------------------------------------- codec layer
@@ -1042,6 +1303,61 @@ TEST(StoreEndToEnd, FormatTwoRecordsRecomputeIdentically)
     EXPECT_EQ(b.measuredCycles, a.measuredCycles);
 
     // The recomputed records are current: the next session restores.
+    ExperimentEngine healed(1);
+    healed.setCheckpointStore(
+        std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
+    SampledStats c = healed.cell(w, {"sampled", sc}).sampled;
+    EXPECT_GT(c.ckptRestores, 0u);
+    EXPECT_EQ(c.est, a.est);
+}
+
+TEST(StoreEndToEnd, VersionTwoWarmRecordsRecomputeIdentically)
+{
+    ScratchDir dir("e2e-warm2");
+    BoundKernel bk = bindKernel(findKernel("gzip"));
+    EngineWorkload w = workload(bk);
+    SimConfig sc = sampledSmall(SimConfig::intMemMg());
+
+    ExperimentEngine cold(1);
+    cold.setCheckpointStore(
+        std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
+    SampledStats a = cold.cell(w, {"sampled", sc}).sampled;
+    ASSERT_FALSE(a.exact);
+    ASSERT_GT(a.ckptWritebacks, 0u);
+
+    // Tag every warm record with the previous warmStateVersion. The
+    // store's own checks still pass: only the core can refuse them.
+    std::size_t retagged = 0;
+    {
+        CheckpointStore rw({dir.str()});
+        for (const fs::path &f : recordFiles(dir.path)) {
+            std::string key = recordKey(f);
+            if (key.rfind("warm|", 0) != 0)
+                continue;
+            std::vector<std::uint8_t> payload;
+            ASSERT_TRUE(rw.load(key, payload)) << key;
+            ASSERT_GE(payload.size(), 4u);
+            const std::uint32_t v2 = 2;
+            std::memcpy(payload.data(), &v2, sizeof v2);
+            rw.store(key, payload);
+            ++retagged;
+        }
+    }
+    ASSERT_GT(retagged, 0u);
+
+    ExperimentEngine warm(1);
+    warm.setCheckpointStore(
+        std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
+    SampledStats b = warm.cell(w, {"sampled", sc}).sampled;
+    EXPECT_EQ(b.ckptRestores, 0u);
+    EXPECT_GT(b.ckptWritebacks, 0u);
+    EXPECT_EQ(warm.checkpointStore()->counters().corrupt, 0u);
+    EXPECT_EQ(b.est, a.est);
+    EXPECT_EQ(b.intervals, a.intervals);
+    EXPECT_EQ(b.measuredCycles, a.measuredCycles);
+    EXPECT_EQ(b.ipcHat, a.ipcHat);
+
+    // The recomputed records replaced them: the next session restores.
     ExperimentEngine healed(1);
     healed.setCheckpointStore(
         std::make_shared<CheckpointStore>(CheckpointStoreConfig{dir.str()}));
